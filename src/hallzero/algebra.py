@@ -3,17 +3,18 @@
 The algebra has one basis symbol u_p per partition p, and the structure
 constant on u_target in u_left * u_right is the constant term of the
 corresponding classical Hall polynomial.  Products are computed in
-closed matrix form: expand each factor through the Moebius matrix of
-its weight poset, add partitions pairwise, and push back through the
+closed matrix form: expand each factor through its sparse Moebius row,
+add partitions pairwise, and push back up through the up-sets of the
 zeta matrix.  This is the unitriangular back-substitution equivalent of
-eliminating step by step along the degeneration order.
+eliminating step by step along the degeneration order.  The order is
+read only through :class:`~hallzero.degeneration.DegPoset` methods.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .degeneration import poset_of
+from .degeneration import DegPoset, poset_of
 from .partitions import Partition
 
 
@@ -111,21 +112,27 @@ def f_map(alpha: Partition) -> H0Element:
 def f_inverse(x: H0Element) -> H0Element:
     """Coordinates of x in the embedded module basis {f_map(b)}.
 
-    Inverts f_map by Moebius inversion, one weight component at a time.
+    Inverts f_map by Moebius inversion, one term at a time.
     """
     out: dict[Partition, int] = {}
-    by_weight: dict[int, list[tuple[Partition, int]]] = {}
     for p, c in x.items():
-        by_weight.setdefault(p.weight, []).append((p, c))
-    for weight, terms in by_weight.items():
-        poset = poset_of(weight)
-        for p, c in terms:
-            row = poset.moebius[poset.index(p)]
-            for j, v in enumerate(row):
-                if v:
-                    b = poset.elements[j]
-                    out[b] = out.get(b, 0) + c * v
+        for b, v in poset_of(p.weight).moebius_row(p):
+            out[b] = out.get(b, 0) + c * v
     return H0Element(out)
+
+
+def _fold(left: Partition, right: Partition) -> tuple[DegPoset, dict[int, int]]:
+    """u_left * u_right in the basis {f_map(s)}: expand both factors by
+    their Moebius rows and add the partitions pairwise.  Returns the poset
+    of the product's weight and the coefficients keyed by element index."""
+    poset = poset_of(left.weight + right.weight)
+    mo_right = poset_of(right.weight).moebius_row(right)
+    folded: dict[int, int] = {}
+    for a, ca in poset_of(left.weight).moebius_row(left):
+        for b, cb in mo_right:
+            i = poset.index(a + b)
+            folded[i] = folded.get(i, 0) + ca * cb
+    return poset, folded
 
 
 def constant_term(left: Partition, right: Partition, target: Partition) -> int:
@@ -136,50 +143,20 @@ def constant_term(left: Partition, right: Partition, target: Partition) -> int:
     """
     if left.weight + right.weight != target.weight:
         return 0
-    pl = poset_of(left.weight)
-    pr = poset_of(right.weight)
-    pt = poset_of(target.weight)
-    target_idx = pt.index(target)
-    mo_left = pl.moebius[pl.index(left)]
-    mo_right = pr.moebius[pr.index(right)]
-    total = 0
-    for i, cl in enumerate(mo_left):
-        if not cl:
-            continue
-        si = pl.elements[i]
-        for j, cr in enumerate(mo_right):
-            if not cr:
-                continue
-            if pt.zeta[pt.index(si + pr.elements[j])][target_idx]:
-                total += cl * cr
-    return total
+    poset, folded = _fold(left, right)
+    t = poset.index(target)
+    return sum(g for i, g in folded.items() if poset.leq_at(i, t))
 
 
 def h0_multiply(x: H0Element, y: H0Element) -> H0Element:
     """Bilinear product of two algebra elements."""
     out: dict[Partition, int] = {}
     for a, ca in x.items():
-        pa = poset_of(a.weight)
-        mo_a = pa.moebius[pa.index(a)]
         for b, cb in y.items():
-            pb = poset_of(b.weight)
-            mo_b = pb.moebius[pb.index(b)]
-            pt = poset_of(a.weight + b.weight)
-            folded: dict[int, int] = {}
-            for i, ma in enumerate(mo_a):
-                if not ma:
+            poset, folded = _fold(a, b)
+            for i, g in folded.items():
+                if not g:
                     continue
-                si = pa.elements[i]
-                for j, mb in enumerate(mo_b):
-                    if not mb:
-                        continue
-                    idx = pt.index(si + pb.elements[j])
-                    folded[idx] = folded.get(idx, 0) + ma * mb
-            scale = ca * cb
-            for idx, g in folded.items():
-                row = pt.zeta[idx]
-                for t, bit in enumerate(row):
-                    if bit:
-                        tgt = pt.elements[t]
-                        out[tgt] = out.get(tgt, 0) + scale * g
+                for t in poset.up_set_at(i):
+                    out[t] = out.get(t, 0) + ca * cb * g
     return H0Element(out)

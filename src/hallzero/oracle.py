@@ -305,10 +305,11 @@ def hall_number(
     cap: int | None = None,
 ) -> int:
     """Number of submodules of M(outer) of type `sub` with quotient type
-    `quotient`, over F_p.  Zero when the weights do not match."""
+    `quotient`, over F_p.  Zero when the weights do not match; an
+    unsupported prime raises ValueError whatever the weights."""
+    field = _as_field(p)
     if quotient.weight + sub.weight != outer.weight:
         return 0
-    field = _as_field(p)
     _check_cap(outer.weight, field, cap)
     return _type_tables(outer, sub.weight, field.p).get((quotient, sub), 0)
 

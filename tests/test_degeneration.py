@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -16,6 +17,14 @@ from hallzero.errors import CapExceededError
 from hallzero.partitions import Partition, parse_partition
 
 P = parse_partition
+
+
+def dense(poset):
+    """The zeta and Moebius matrices as lists of lists, read off the rows."""
+    m = len(poset)
+    z = [[poset.zeta[i] >> j & 1 for j in range(m)] for i in range(m)]
+    mo = [[poset.moebius[i].get(j, 0) for j in range(m)] for i in range(m)]
+    return z, mo
 
 
 def naive_leq(lam, nu):
@@ -97,11 +106,14 @@ class TestPoset:
     def test_weight_two(self):
         poset = build_poset(2)
         assert [str(p) for p in poset.elements] == ["(2)", "(1^2)"]
-        assert poset.zeta == ((1, 1), (0, 1))
-        assert poset.moebius == ((1, -1), (0, 1))
+        assert poset.zeta == (0b11, 0b10)
+        assert poset.moebius == ({0: 1, 1: -1}, {1: 1})
+        assert dense(poset) == ([[1, 1], [0, 1]], [[1, -1], [0, 1]])
 
     def test_weight_one(self):
-        assert build_poset(1).zeta == ((1,),)
+        poset = build_poset(1)
+        assert poset.zeta == (1,)
+        assert dense(poset) == ([[1]], [[1]])
 
     def test_row_of_3_2(self):
         got = {str(p) for p in poset_of(5).up_set(P("(3,2)"))}
@@ -130,7 +142,7 @@ class TestPoset:
         for n in range(9):
             poset = poset_of(n)
             m = len(poset)
-            z = poset.zeta
+            z, _ = dense(poset)
             for i in range(m):
                 assert z[i][i] == 1
                 for j in range(m):
@@ -145,11 +157,12 @@ class TestPoset:
         for n in range(11):
             poset = poset_of(n)
             m = len(poset)
+            z, mo = dense(poset)
             for i in range(m):
                 for j in range(m):
-                    s = sum(poset.zeta[i][k] * poset.moebius[k][j] for k in range(m))
+                    s = sum(z[i][k] * mo[k][j] for k in range(m))
                     assert s == (1 if i == j else 0)
-                    s = sum(poset.moebius[i][k] * poset.zeta[k][j] for k in range(m))
+                    s = sum(mo[i][k] * z[k][j] for k in range(m))
                     assert s == (1 if i == j else 0)
 
     def test_index_rejects_wrong_weight(self):
@@ -209,17 +222,37 @@ class TestDiskCache:
         assert loaded.elements == built.elements
         assert loaded.zeta == built.zeta
         assert loaded.moebius == built.moebius
+        with open(os.path.join(cache, "degposet-6.json")) as fh:
+            rows = json.load(fh)["zeta_rows"]
+        assert rows == [format(row, "x") for row in built.zeta]
 
     def test_no_temp_residue(self, tmp_path):
         build_poset(4, cache_dir=str(tmp_path))
         assert all(not f.endswith(".tmp") for f in os.listdir(tmp_path))
 
-    def test_corrupt_cache_is_rebuilt(self, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda payload: "{not json",
+            lambda payload: json.dumps(
+                dict(payload, elements=[5] + payload["elements"][1:])
+            ),
+            lambda payload: json.dumps(
+                dict(payload, zeta_rows=[0x7F] + payload["zeta_rows"][1:])
+            ),
+            lambda payload: json.dumps([payload]),
+        ],
+        ids=["not-json", "non-string-element", "integer-zeta-row", "top-level-list"],
+    )
+    def test_corrupt_cache_is_rebuilt(self, tmp_path, corrupt):
         cache = str(tmp_path)
-        path = os.path.join(cache, "degposet-5.json")
-        os.makedirs(cache, exist_ok=True)
+        path = save_poset(build_poset(5), cache)
+        with open(path) as fh:
+            payload = json.load(fh)
         with open(path, "w") as fh:
-            fh.write("{not json")
+            fh.write(corrupt(payload))
+        with pytest.raises(ValueError):
+            load_poset(5, cache)
         poset = build_poset(5, cache_dir=cache)
         assert len(poset) == 7
         loaded = load_poset(5, cache)  # rebuilt file is valid again

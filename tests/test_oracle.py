@@ -151,6 +151,10 @@ class TestHallNumbers:
     def test_weight_mismatch_is_zero(self):
         assert hall_number(P("(2)"), P("(2)"), P("(1)"), 2) == 0
 
+    def test_bad_prime_rejected_before_weight_check(self):
+        with pytest.raises(ValueError, match="unsupported prime"):
+            hall_number(P("(1)"), P("(1)"), P("(1)"), 4)
+
     def test_trivial_submodules(self):
         for n in range(5):
             for shape in partitions_of(n):
