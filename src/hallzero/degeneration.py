@@ -15,11 +15,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress
+from operator import and_
 from typing import Sequence
-
-import numpy as np
 
 from .errors import CapExceededError
 from .partitions import Partition, parse_partition
@@ -171,15 +170,18 @@ def _check_unitriangular(zeta: tuple[int, ...], m: int) -> None:
 
 
 def _zeta_rows(elements: list[Partition], n: int) -> tuple[int, ...]:
-    pref = np.array(
-        [_conjugate_prefix(p, max(1, n)) for p in elements], dtype=np.int64
-    )
+    prefs = [_conjugate_prefix(p, max(1, n)) for p in elements]
+    # at_least[c][v]: bitset of the elements whose c-th prefix sum is >= v.
+    at_least = []
+    for c in range(max(1, n)):
+        bits = [0] * (n + 2)
+        for j, pref in enumerate(prefs):
+            bits[pref[c]] |= 1 << j
+        for v in range(n, -1, -1):
+            bits[v] |= bits[v + 1]
+        at_least.append(bits)
     return tuple(
-        int.from_bytes(
-            np.packbits((row <= pref).all(axis=1), bitorder="little").tobytes(),
-            "little",
-        )
-        for row in pref
+        reduce(and_, (bits[v] for bits, v in zip(at_least, pref))) for pref in prefs
     )
 
 
@@ -202,7 +204,7 @@ def build_poset(
     """Build (or load from the disk cache) the degeneration poset of weight n."""
     if cache_dir is not None:
         try:
-            return load_poset(n, cache_dir)
+            return load_poset(n, cache_dir, cap=cap)
         except (OSError, ValueError):
             pass
     elements = partitions_of(n, cap)
@@ -249,9 +251,10 @@ def save_poset(poset: DegPoset, cache_dir: str) -> str:
     return path
 
 
-def load_poset(n: int, cache_dir: str) -> DegPoset:
+def load_poset(n: int, cache_dir: str, cap: int = DEFAULT_WEIGHT_CAP) -> DegPoset:
     """Load a cached poset; the Moebius rows are always recomputed.
 
+    A weight above `cap` raises CapExceededError, as `build_poset` does.
     Any malformed or mismatched file raises ValueError."""
     with open(_cache_path(cache_dir, n)) as handle:
         payload = json.load(handle)
@@ -265,6 +268,6 @@ def load_poset(n: int, cache_dir: str) -> DegPoset:
     ):
         raise ValueError("cached elements and zeta rows must be lists of strings")
     elements = tuple(parse_partition(text) for text in texts)
-    if list(elements) != partitions_of(n):
+    if list(elements) != partitions_of(n, cap):
         raise ValueError("cached element list does not match the enumeration")
     return DegPoset(n, elements, tuple(int(text, 16) for text in rows))

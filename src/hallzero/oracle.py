@@ -1,23 +1,24 @@
 """Brute-force Hall number oracle over small prime fields.
 
-Counts submodules of a nilpotent module in Jordan form by enumerating
-reduced row echelon bases dimension by dimension and keeping the
-invariant ones.  Every subspace has a unique reduced echelon basis, so
-nothing is counted twice.  All arithmetic is exact modular arithmetic;
-numpy is used to batch the enumeration, never for approximate math.
+Counts submodules of a nilpotent module in Jordan form by searching the
+reduced row echelon bases of its invariant subspaces, dimension by
+dimension.  Every subspace has a unique reduced echelon basis, so nothing
+is counted twice.  All arithmetic is exact modular arithmetic on Python
+ints.
 
-Vectors are rows throughout, so the operator acts by right
-multiplication with the transpose of the Jordan matrix.
+Vectors are rows throughout, and the operator acts by v -> vM with the
+Jordan matrix M, which moves every entry one place further into its
+block.  The leading index of a vector therefore rises under the action,
+so in a reduced echelon basis of an invariant subspace the image of row r
+lies in the span of the rows below it.  The search places rows bottom-up
+and drops a partial row as soon as it breaks that condition.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
-
-import numpy as np
+from typing import Callable, Iterator
 
 from .errors import CapExceededError
 from .partitions import Partition
@@ -25,7 +26,8 @@ from .partitions import Partition
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 SMALL_PRIME_WEIGHT_CAP = 8  # p in {2, 3}
 LARGE_PRIME_WEIGHT_CAP = 6  # p >= 5
-_BATCH = 1 << 16
+
+Row = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -63,33 +65,23 @@ def _check_cap(weight: int, field: PrimeField, cap: int | None) -> None:
         )
 
 
-def _jordan_matrix(parts: tuple[int, ...], n: int) -> np.ndarray:
-    t = np.zeros((n, n), dtype=np.int64)
-    offset = 0
-    for size in parts:
-        for i in range(size - 1):
-            t[offset + i, offset + i + 1] = 1
-        offset += size
-    return t
-
-
 class JordanModule:
-    """A nilpotent operator in Jordan form, block sizes given by a partition."""
+    """A nilpotent operator in Jordan form, block sizes given by a partition.
+
+    `matrix` has a 1 at (j, j + 1) inside each block; the operator acts on
+    row vectors by v -> vM.  `depth[j]` is the place of coordinate j in
+    its block, so (vM)[j] is v[j - 1] when depth[j] > 0 and 0 otherwise.
+    """
 
     def __init__(self, shape: Partition, p: "int | PrimeField"):
         self.shape = shape
         self.field = _as_field(p)
         self.dim = shape.weight
-        self.matrix = _jordan_matrix(shape.parts, self.dim)
-        self._row_action = np.ascontiguousarray(self.matrix.T)
-        self._row_powers = [np.eye(self.dim, dtype=np.int64), self._row_action]
-
-    def row_action_power(self, i: int) -> np.ndarray:
-        """i-th power of the operator acting on row vectors."""
-        while len(self._row_powers) <= i:
-            nxt = self._row_powers[-1] @ self._row_action % self.field.p
-            self._row_powers.append(nxt)
-        return self._row_powers[i]
+        self.depth = tuple(i for size in shape.parts for i in range(size))
+        self.matrix = tuple(
+            tuple(int(j == i + 1 and self.depth[j] > 0) for j in range(self.dim))
+            for i in range(self.dim)
+        )
 
     def __repr__(self) -> str:
         return f"JordanModule(shape={self.shape}, p={self.field.p})"
@@ -99,7 +91,7 @@ class JordanModule:
 class Subspace:
     """A subspace, stored as its unique reduced row echelon basis."""
 
-    basis: tuple[tuple[int, ...], ...]
+    basis: tuple[Row, ...]
 
     @property
     def dim(self) -> int:
@@ -110,164 +102,117 @@ class Subspace:
         return tuple(next(j for j, v in enumerate(row) if v) for row in self.basis)
 
 
-def _rank_mod(a: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p."""
-    m = a % p
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = None
-        for i in range(r, rows):
-            if m[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = m[r] * inv % p
-        for i in range(r + 1, rows):
-            if m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
-        r += 1
-    return r
+def _rank(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p of the given integer rows."""
+    rows = [row for row in rows if any(row)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        c = next(j for j, v in enumerate(pivot) if v)
+        scale = pow(pivot[c], p - 2, p)
+        rank += 1
+        reduced = []
+        for row in rows:
+            if row[c]:
+                f = row[c] * scale
+                row = [(a - f * b) % p for a, b in zip(row, pivot)]
+                if not any(row):
+                    continue
+            reduced.append(row)
+        rows = reduced
+    return rank
 
 
-def _type_from_kernel_dims(mat: np.ndarray, p: int, space_dim: int) -> Partition:
-    """Jordan type from kernel dimensions of successive powers.
-
-    The i-th conjugate part is dim ker(mat^i) - dim ker(mat^(i-1)).
-    Raises if the kernel dimensions stall before filling the space,
-    i.e. if the operator is not nilpotent.
-    """
-    if space_dim == 0:
-        return Partition()
-    mat = mat % p
+def _type_from_ranks(dim: int, rank_of_power: Callable[[int], int]) -> tuple[int, ...]:
+    """Conjugate of the Jordan type of a nilpotent operator on a dim-space,
+    from the ranks of its powers: part i is rank T^(i-1) - rank T^i.  Once
+    a rank is 1 the next is 0, so it is not asked for."""
     conj: list[int] = []
-    prev = 0
-    power = mat.copy()
-    for _ in range(space_dim):
-        kd = space_dim - _rank_mod(power, p)
-        step = kd - prev
-        if step == 0:
-            break
-        conj.append(step)
-        prev = kd
-        if kd == space_dim:
-            return Partition(tuple(conj)).conjugate()
-        power = power @ mat % p
-    raise ValueError("operator is not nilpotent")
+    prev, i = dim, 1
+    while prev:
+        rank = rank_of_power(i) if prev > 1 else 0
+        if rank >= prev:
+            raise ValueError("operator is not nilpotent")
+        conj.append(prev - rank)
+        prev, i = rank, i + 1
+    return tuple(conj)
+
+
+def _matmul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
 
 
 def jordan_type(matrix, p: "int | PrimeField") -> Partition:
     """Jordan type of a nilpotent square matrix over F_p."""
     field = _as_field(p)
-    m = np.asarray(matrix, dtype=np.int64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    try:
+        rows = [[int(v) % field.p for v in row] for row in matrix]
+    except TypeError:
+        raise ValueError("expected a square matrix") from None
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("expected a square matrix")
-    return _type_from_kernel_dims(m, field.p, m.shape[0])
+    powers = [rows]
+    while len(powers) < n:
+        powers.append(_matmul(powers[-1], rows, field.p))
+    if any(any(row) for row in powers[-1]):
+        raise ValueError("operator is not nilpotent")
+    conj = _type_from_ranks(n, lambda i: _rank(powers[i - 1], field.p))
+    return Partition(conj).conjugate()
 
 
-def _free_positions(pivots: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    cols = set(pivots)
-    return [
-        (r, c)
-        for r, pc in enumerate(pivots)
-        for c in range(pc + 1, n)
-        if c not in cols
-    ]
+def _rows_with_pivot(
+    module: JordanModule, c: int, lower: dict[int, Row]
+) -> list[Row]:
+    """Every reduced echelon row with pivot c whose image lies in the span
+    of the reduced echelon rows `lower` (pivot column -> row), all of
+    whose pivots lie right of c.
 
-
-def _rref_batches(
-    n: int, k: int, p: int, pivots: tuple[int, ...]
-) -> Iterator[np.ndarray]:
-    """Batches of shape (N, k, n) covering every reduced echelon basis
-    with the given pivot columns exactly once."""
-    free = _free_positions(pivots, n)
-    total = p ** len(free)
-    template = np.zeros((k, n), dtype=np.int64)
-    for r, c in enumerate(pivots):
-        template[r, c] = 1
-    for start in range(0, total, _BATCH):
-        count = min(_BATCH, total - start)
-        batch = np.repeat(template[None, :, :], count, axis=0)
-        codes = np.arange(start, start + count, dtype=np.int64)
-        for t, (r, c) in enumerate(free):
-            batch[:, r, c] = (codes // p**t) % p
-        yield batch
-
-
-def _invariant_mask(
-    batch: np.ndarray, pivots: np.ndarray, row_action: np.ndarray, p: int
-) -> np.ndarray:
-    """Which bases in the batch span an invariant subspace.
-
-    The image of each basis row lies in the span iff it is reproduced by
-    its own coordinates at the pivot columns (a property of reduced
-    echelon bases).
+    With w = vM, the residual w[t] - sum of w[q] * lower[q][t] is zero at
+    the lower pivots t and otherwise depends only on v[:t]: on v[t - 1]
+    with coefficient 1 when depth[t] > 0, and through the coefficients
+    w[q] = v[q - 1] of the lower pivots q < t.  The row is filled left to
+    right, and the residual at t + 1 fixes or checks the entry at t.
     """
-    w = batch @ row_action % p
-    recon = w[:, :, pivots] @ batch % p
-    return (recon == w).all(axis=(1, 2))
+    n, p, depth = module.dim, module.field.p, module.depth
+    fixed = dict.fromkeys(lower, 0)
+    fixed[c] = 1
+    prefixes: list[Row] = [(0,) * c]
+    for j in range(c, n):
+        t = j + 1
+        options = (fixed[j],) if j in fixed else range(p)
+        if t == n or t in lower:
+            prefixes = [v + (x,) for v in prefixes for x in options]
+            continue
+        terms = [(q - 1, row[t]) for q, row in lower.items() if row[t] and depth[q]]
+        extended = []
+        for v in prefixes:
+            rest = sum(v[x] * coef for x, coef in terms) % p
+            if depth[t]:
+                if rest in options:
+                    extended.append(v + (rest,))
+            elif rest == 0:
+                extended.extend(v + (x,) for x in options)
+        prefixes = extended
+    return prefixes
 
 
-def _invariant_bases(
-    module: JordanModule, k: int
-) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
-    n = module.dim
-    p = module.field.p
-    if k == 0:
-        yield np.zeros((0, n), dtype=np.int64), ()
-        return
-    for pivots in itertools.combinations(range(n), k):
-        pv = np.asarray(pivots, dtype=np.intp)
-        for batch in _rref_batches(n, k, p, pivots):
-            mask = _invariant_mask(batch, pv, module._row_action, p)
-            for idx in np.nonzero(mask)[0]:
-                yield batch[idx], pivots
+def _invariant_bases(module: JordanModule, k: int) -> Iterator[tuple[Row, ...]]:
+    """Reduced echelon bases, rows top to bottom, of the invariant
+    k-dimensional subspaces."""
 
+    def place(below: tuple[Row, ...], pivots: tuple[int, ...]) -> Iterator:
+        r = k - 1 - len(below)
+        if r < 0:
+            yield below
+            return
+        # Row r's pivot leaves room for the r rows still to place above it.
+        lower = dict(zip(pivots, below))
+        for c in range(r, pivots[0] if pivots else module.dim):
+            for row in _rows_with_pivot(module, c, lower):
+                yield from place((row,) + below, (c,) + pivots)
 
-def _restricted_type(
-    module: JordanModule, basis: np.ndarray, pivots: tuple[int, ...]
-) -> Partition:
-    """Jordan type of the operator restricted to the invariant subspace."""
-    k = len(pivots)
-    if k == 0:
-        return Partition()
-    p = module.field.p
-    w = basis @ module._row_action % p
-    action = w[:, np.asarray(pivots, dtype=np.intp)]
-    return _type_from_kernel_dims(action, p, k)
-
-
-def _quotient_type(
-    module: JordanModule, basis: np.ndarray, pivots: tuple[int, ...]
-) -> Partition:
-    """Jordan type of the operator induced on the quotient space.
-
-    dim ker of the induced i-th power equals dim of the preimage of the
-    subspace under the i-th power, minus the subspace dimension.
-    """
-    n = module.dim
-    k = len(pivots)
-    if k == n:
-        return Partition()
-    p = module.field.p
-    pv = np.asarray(pivots, dtype=np.intp)
-    conj: list[int] = []
-    prev = 0
-    for i in range(1, n - k + 1):
-        ri = module.row_action_power(i)
-        reduced = (ri - ri[:, pv] @ basis) % p
-        kd = (n - _rank_mod(reduced, p)) - k
-        conj.append(kd - prev)
-        prev = kd
-        if kd == n - k:
-            break
-    return Partition(tuple(conj)).conjugate()
+    return place((), ())
 
 
 def enumerate_invariant_subspaces(
@@ -276,8 +221,8 @@ def enumerate_invariant_subspaces(
     """Stream every invariant subspace exactly once (order unspecified)."""
     _check_cap(module.dim, module.field, cap)
     for k in range(module.dim + 1):
-        for basis, _ in _invariant_bases(module, k):
-            yield Subspace(tuple(tuple(int(v) for v in row) for row in basis))
+        for basis in _invariant_bases(module, k):
+            yield Subspace(basis)
 
 
 @lru_cache(maxsize=None)
@@ -285,16 +230,38 @@ def _type_tables(
     shape: Partition, k: int, p: int
 ) -> dict[tuple[Partition, Partition], int]:
     """Tally of (quotient type, subspace type) over all invariant
-    dimension-k subspaces of the module of the given shape."""
+    dimension-k subspaces U of the module of the given shape.
+
+    Both types come from ranks of the basis of U on sets of coordinates.
+    T^i moves coordinate j to j + i when that stays in its block, so
+    rank T^i U is the rank on the coordinates with room >= i before their
+    block ends.  The operator induced on the quotient has rank
+    dim(im T^i + U) - k, and im T^i is spanned by the coordinates of
+    depth >= i: that is their count plus the rank on the coordinates of
+    depth < i, minus k."""
     module = JordanModule(shape, p)
-    counts: dict[tuple[Partition, Partition], int] = {}
-    for basis, pivots in _invariant_bases(module, k):
+    n, depth = module.dim, module.depth
+    room = [size - 1 - i for size in shape.parts for i in range(size)]
+    shifted = [[j for j in range(n) if room[j] >= i] for i in range(n + 1)]
+    shallow = [[j for j in range(n) if depth[j] < i] for i in range(n + 1)]
+
+    def rank_on(basis: tuple[Row, ...], cols: list[int]) -> int:
+        return _rank([[v[j] for j in cols] for v in basis], p)
+
+    # Tallied by the conjugates of the two types, which the ranks give.
+    counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for basis in _invariant_bases(module, k):
         key = (
-            _quotient_type(module, basis, pivots),
-            _restricted_type(module, basis, pivots),
+            _type_from_ranks(
+                n - k, lambda i: n - len(shallow[i]) + rank_on(basis, shallow[i]) - k
+            ),
+            _type_from_ranks(k, lambda i: rank_on(basis, shifted[i])),
         )
         counts[key] = counts.get(key, 0) + 1
-    return counts
+    return {
+        (Partition(quo).conjugate(), Partition(sub).conjugate()): count
+        for (quo, sub), count in counts.items()
+    }
 
 
 def hall_number(
@@ -317,8 +284,12 @@ def hall_number(
 def hall_number_table(
     outer: Partition, p: int, dim: int | None = None, cap: int | None = None
 ) -> dict[tuple[Partition, Partition], int]:
-    """All (quotient type, sub type) counts for M(outer) at once."""
+    """All (quotient type, sub type) counts for M(outer) at once, or only
+    those of submodules of dimension `dim`.  A `dim` above the weight
+    gives an empty table; a negative one raises ValueError."""
     field = _as_field(p)
+    if dim is not None and dim < 0:
+        raise ValueError(f"negative submodule dimension {dim}")
     _check_cap(outer.weight, field, cap)
     dims = range(outer.weight + 1) if dim is None else (dim,)
     merged: dict[tuple[Partition, Partition], int] = {}
@@ -329,18 +300,12 @@ def hall_number_table(
 
 
 def count_all_subspaces(n: int, p: int, cap: int | None = None) -> int:
-    """Total number of subspaces of F_p^n, by running the enumeration."""
-    field = _as_field(p)
-    _check_cap(n, field, cap)
-    total = 0
-    for k in range(n + 1):
-        if k == 0:
-            total += 1
-            continue
-        for pivots in itertools.combinations(range(n), k):
-            for batch in _rref_batches(n, k, field.p, pivots):
-                total += batch.shape[0]
-    return total
+    """Total number of subspaces of F_p^n, by running the enumeration on
+    the zero operator, under which every subspace is invariant."""
+    if n < 0:
+        raise ValueError(f"negative dimension {n}")
+    module = JordanModule(Partition((1,) * n), p)
+    return sum(1 for _ in enumerate_invariant_subspaces(module, cap))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -226,6 +226,21 @@ class TestDiskCache:
             rows = json.load(fh)["zeta_rows"]
         assert rows == [format(row, "x") for row in built.zeta]
 
+    def test_cached_poset_honours_cap(self, tmp_path):
+        cache = str(tmp_path)
+        build_poset(4, cache_dir=cache)
+        with pytest.raises(CapExceededError):
+            build_poset(4, cap=3, cache_dir=cache)
+        with pytest.raises(CapExceededError):
+            load_poset(4, cache, cap=3)
+
+    def test_round_trip_with_cap(self, tmp_path):
+        cache = str(tmp_path)
+        built = build_poset(5, cap=5, cache_dir=cache)
+        loaded = load_poset(5, cache, cap=5)
+        assert loaded.elements == built.elements
+        assert loaded.zeta == built.zeta
+
     def test_no_temp_residue(self, tmp_path):
         build_poset(4, cache_dir=str(tmp_path))
         assert all(not f.endswith(".tmp") for f in os.listdir(tmp_path))

@@ -1,4 +1,6 @@
-import numpy as np
+import subprocess
+import sys
+
 import pytest
 
 from hallzero.degeneration import partitions_of
@@ -39,6 +41,37 @@ def rank_gf(rows, p):
     return rank
 
 
+def mat_pow(m, e, p):
+    """e-th power of a square matrix over F_p, by repeated multiplication."""
+    n = len(m)
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(e):
+        out = [
+            [sum(out[i][t] * m[t][j] for t in range(n)) % p for j in range(n)]
+            for i in range(n)
+        ]
+    return out
+
+
+def submodule_count(lam, nu, q):
+    """Birkhoff's closed form for the number of submodules of type nu of the
+    module of type lam over F_q (Macdonald, Symmetric Functions and Hall
+    Polynomials, 2nd ed., Ch. II): the product over i of
+    q^(nu'_{i+1} (lam'_i - nu'_i)) [lam'_i - nu'_{i+1}, nu'_i - nu'_{i+1}]_q."""
+    lc, nc = lam.conjugate().parts, nu.conjugate().parts
+    length = max(len(lc), len(nc)) + 1
+    lc += (0,) * (length - len(lc))
+    nc += (0,) * (length - len(nc))
+    if any(b > a for a, b in zip(lc, nc)):
+        return 0
+    out = 1
+    for i in range(length - 1):
+        out *= q ** (nc[i + 1] * (lc[i] - nc[i])) * gaussian_binomial(
+            lc[i] - nc[i + 1], nc[i] - nc[i + 1], q
+        )
+    return out
+
+
 class TestPrimeField:
     def test_supported(self):
         assert PrimeField(7).p == 7
@@ -57,22 +90,22 @@ class TestPrimeField:
 class TestJordanModule:
     def test_matrix_blocks(self):
         m = JordanModule(P("(2,1)"), 2)
-        assert m.matrix.tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+        assert m.matrix == ((0, 1, 0), (0, 0, 0), (0, 0, 0))
 
     def test_nilpotency_index(self):
         for shape in partitions_of(5):
             m = JordanModule(shape, 3)
             top = shape.parts[0]
-            power = np.linalg.matrix_power(m.matrix, top) % 3
-            assert not power.any()
+            power = mat_pow(m.matrix, top, 3)
+            assert not any(any(row) for row in power)
             if top > 1:
-                below = np.linalg.matrix_power(m.matrix, top - 1) % 3
-                assert below.any()
+                below = mat_pow(m.matrix, top - 1, 3)
+                assert any(any(row) for row in below)
 
 
 class TestJordanType:
     def test_zero_operator(self):
-        assert jordan_type(np.zeros((3, 3), dtype=int), 2) == P("(1^3)")
+        assert jordan_type([[0] * 3 for _ in range(3)], 2) == P("(1^3)")
 
     def test_single_block(self):
         assert jordan_type(JordanModule(P("(3)"), 2).matrix, 2) == P("(3)")
@@ -88,11 +121,14 @@ class TestJordanType:
 
     def test_rejects_non_nilpotent(self):
         with pytest.raises(ValueError):
-            jordan_type(np.eye(3, dtype=int), 3)
+            jordan_type([[int(i == j) for j in range(3)] for i in range(3)], 3)
+        # Ranks of the powers fall to 1 and stay there.
+        with pytest.raises(ValueError):
+            jordan_type([[0, 1, 0], [0, 0, 0], [0, 0, 1]], 3)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            jordan_type(np.zeros((2, 3), dtype=int), 2)
+            jordan_type([[0] * 3 for _ in range(2)], 2)
 
 
 class TestEnumeration:
@@ -121,9 +157,10 @@ class TestEnumeration:
                 assert rank_gf(rows, 3) == sub.dim
                 pivots = sub.pivots
                 assert list(pivots) == sorted(pivots)
-                for r, row in enumerate(rows):
+                for row in rows:
+                    # The operator acts on row vectors by v -> vM.
                     image = [
-                        sum(row[i] * module.matrix[j][i] for i in range(len(row))) % 3
+                        sum(row[i] * module.matrix[i][j] for i in range(len(row))) % 3
                         for j in range(len(row))
                     ]
                     assert rank_gf(rows + [image], 3) == sub.dim
@@ -175,6 +212,26 @@ class TestHallNumbers:
                 for (quo, sub), count in table.items():
                     assert table.get((sub, quo), 0) == count
 
+    def test_table_dim_contract(self):
+        assert hall_number_table(P("(2,1)"), 2, dim=4) == {}
+        with pytest.raises(ValueError):
+            hall_number_table(P("(2,1)"), 2, dim=-1)
+
+    @pytest.mark.parametrize("p,max_weight", [(2, 6), (3, 6), (5, 4)])
+    def test_marginals_match_birkhoff(self, p, max_weight):
+        for n in range(max_weight + 1):
+            for outer in partitions_of(n):
+                by_sub, by_quotient = {}, {}
+                for (quo, sub), count in hall_number_table(outer, p).items():
+                    by_sub[sub] = by_sub.get(sub, 0) + count
+                    by_quotient[quo] = by_quotient.get(quo, 0) + count
+                for k in range(n + 1):
+                    for nu in partitions_of(k):
+                        # By duality as many submodules have quotient type nu.
+                        expected = submodule_count(outer, nu, p)
+                        assert by_sub.get(nu, 0) == expected, (outer, nu)
+                        assert by_quotient.get(nu, 0) == expected, (outer, nu)
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_table_totals_match_enumeration(self, p):
         for n in range(5):
@@ -202,6 +259,10 @@ class TestCountAllSubspaces:
     def test_point(self):
         assert count_all_subspaces(0, 2) == 1
 
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            count_all_subspaces(-1, 2)
+
     def test_five_space(self):
         assert count_all_subspaces(5, 2) == 374
 
@@ -226,3 +287,11 @@ class TestGaussianBinomial:
                     assert gaussian_binomial(n, k, q) == gaussian_binomial(
                         n, n - k, q
                     )
+
+
+def test_imports_without_numpy():
+    code = "import sys, hallzero, hallzero.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
