@@ -5,8 +5,8 @@ comma form "3,1,1" or exponent form "(3,1^2)"; quote the parentheses in
 a shell.  Every subcommand accepts --json and then emits a single JSON
 document carrying the same values as the text output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 enumeration cap exceeded or interpolation infeasible.
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or file
+error, 3 enumeration cap exceeded or interpolation infeasible.
 """
 
 from __future__ import annotations
@@ -155,6 +155,8 @@ def _cmd_hallpoly(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_weight < 0:
+        raise ValueError(f"--max-weight must be non-negative, got {args.max_weight}")
     results = run_all(args.max_weight)
     ok = all(r.passed for r in results)
     if args.json:
@@ -329,7 +331,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InterpolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,10 +4,11 @@ M(lam) degenerates to M(nu) exactly when every prefix sum of the
 conjugate of lam is bounded by the corresponding prefix sum of the
 conjugate of nu.  For each weight n the poset of all partitions of n is
 materialized with its zeta matrix, one int bitset per row (the same rows
-the disk cache writes in hex), and its exact integer inverse, the
-Moebius matrix, as one sparse dict per row.  Together they drive the
-constant-term algorithm in :mod:`hallzero.algebra`, which reads them
-only through :class:`DegPoset` methods.
+the disk cache writes in hex).  A row of the exact integer inverse, the
+Moebius matrix, is computed from the zeta rows the first time it is
+asked for; the constant-term algorithm in :mod:`hallzero.algebra` reads
+only the rows of the factors it multiplies, and reads the order only
+through :class:`DegPoset` methods.
 """
 
 from __future__ import annotations
@@ -77,10 +78,10 @@ class DegPoset:
 
     Elements are listed in descending lexicographic order.  Row i of
     `zeta` is an int bitset whose bit j is set when element i degenerates
-    to element j; row i of `moebius` maps j to the nonzero Moebius value
-    mu(i, j).  Construction checks that the element order is a linear
+    to element j.  Construction checks that the element order is a linear
     extension of the degeneration order, so the zeta matrix is upper
-    unitriangular and its exact inverse follows by back substitution.
+    unitriangular and each row of its exact inverse follows by forward
+    substitution along the up-set (see `moebius_row`).
     """
 
     def __init__(
@@ -90,8 +91,8 @@ class DegPoset:
         self.n = n
         self.elements = elements
         self.zeta = zeta
-        self.moebius = _invert_unitriangular(zeta)
         self._index = {p: i for i, p in enumerate(elements)}
+        self._moebius: dict[int, tuple[tuple[Partition, int], ...]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -121,8 +122,21 @@ class DegPoset:
         return _select(self.elements, self.zeta[i])
 
     def moebius_row(self, lam: Partition) -> list[tuple[Partition, int]]:
-        """The nonzero values mu(lam, nu), as (nu, value) pairs."""
-        return [(self.elements[j], v) for j, v in self.moebius[self.index(lam)].items()]
+        """The nonzero values mu(lam, nu), as (nu, value) pairs in element
+        order.  Each row is computed on first request and kept."""
+        i = self.index(lam)
+        row = self._moebius.get(i)
+        if row is None:
+            # mu(i, i) = 1; for each j above i, in element order, mu(i, j)
+            # is minus the sum of the row's mu(i, k) (all k < j) with k <= j.
+            mu = {i: 1}
+            for j in _select(range(len(self)), self.zeta[i] & ~(1 << i)):
+                v = -sum(m for k, m in mu.items() if self.zeta[k] >> j & 1)
+                if v:
+                    mu[j] = v
+            row = tuple((self.elements[j], v) for j, v in mu.items())
+            self._moebius[i] = row
+        return list(row)
 
     def hasse_edges(self) -> list[tuple[Partition, Partition]]:
         """Covering pairs (lam, nu) with lam strictly below nu."""
@@ -185,19 +199,6 @@ def _zeta_rows(elements: list[Partition], n: int) -> tuple[int, ...]:
     )
 
 
-def _invert_unitriangular(zeta: tuple[int, ...]) -> tuple[dict[int, int], ...]:
-    """Sparse rows of the exact integer inverse of an upper unitriangular
-    0/1 matrix given by bitset rows."""
-    rows: list[dict[int, int]] = [{} for _ in zeta]
-    for i in range(len(zeta) - 1, -1, -1):
-        row = {i: 1}
-        for k in _select(range(len(zeta)), zeta[i])[1:]:
-            for j, v in rows[k].items():
-                row[j] = row.get(j, 0) - v
-        rows[i] = {j: v for j, v in row.items() if v}
-    return tuple(rows)
-
-
 def build_poset(
     n: int, cap: int = DEFAULT_WEIGHT_CAP, cache_dir: str | None = None
 ) -> DegPoset:
@@ -252,7 +253,7 @@ def save_poset(poset: DegPoset, cache_dir: str) -> str:
 
 
 def load_poset(n: int, cache_dir: str, cap: int = DEFAULT_WEIGHT_CAP) -> DegPoset:
-    """Load a cached poset; the Moebius rows are always recomputed.
+    """Load a cached poset from its elements and zeta rows.
 
     A weight above `cap` raises CapExceededError, as `build_poset` does.
     Any malformed or mismatched file raises ValueError."""

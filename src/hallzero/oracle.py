@@ -46,12 +46,6 @@ class PrimeField:
     def weight_cap(self) -> int:
         return SMALL_PRIME_WEIGHT_CAP if self.p <= 3 else LARGE_PRIME_WEIGHT_CAP
 
-    def inverse(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
 
 def _as_field(p: "int | PrimeField") -> PrimeField:
     return p if isinstance(p, PrimeField) else PrimeField(p)

@@ -96,7 +96,10 @@ def test_criterion_6_duality_and_order_structure():
         poset = poset_of(n)
         m = len(poset)
         z = [[poset.zeta[i] >> j & 1 for j in range(m)] for i in range(m)]
-        mo = [[poset.moebius[i].get(j, 0) for j in range(m)] for i in range(m)]
+        mo = [[0] * m for _ in range(m)]
+        for i, lam in enumerate(poset.elements):
+            for nu, v in poset.moebius_row(lam):
+                mo[i][poset.index(nu)] = v
         for i in range(m):
             if z[i][i] != 1:
                 failures.append(f"n={n}: not reflexive at {i}")

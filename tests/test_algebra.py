@@ -6,7 +6,7 @@ from hallzero.algebra import (
     f_map,
     h0_multiply,
 )
-from hallzero.degeneration import leq_deg, partitions_of
+from hallzero.degeneration import leq_deg, partitions_of, up_set
 from hallzero.oracle import hall_number
 from hallzero.partitions import ZERO, Partition, parse_partition
 
@@ -194,3 +194,11 @@ class TestMultiply:
                     value = constant_term(a, b, g)
                     assert value in (0, 1)
                     assert (value == 1) == (hall_number(g, a, b, 2) > 0)
+
+    def test_product_at_the_weight_cap(self):
+        a, b, g = P("(8,4,3)"), P("(6,5,4)"), P("(14,9,7)")
+        product = h0_multiply(U(a), U(b))
+        assert a + b == g and product.coefficient(g) == 1
+        assert product.support() <= set(up_set(g))
+        for t, coeff in product.items():
+            assert coeff == constant_term(a, b, t)

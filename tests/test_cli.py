@@ -145,6 +145,20 @@ class TestPoset:
         assert code == 0
         assert (tmp_path / "degposet-3.json").exists()
 
+    def test_cache_dir_is_a_file(self, capsys, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        code, out, err = run(capsys, "poset", "4", "--cache-dir", str(blocker))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_dot_into_missing_dir(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.dot"
+        code, out, err = run(capsys, "poset", "4", "--dot", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not target.parent.exists()
+
 
 class TestVerify:
     def test_small_weight_passes(self, capsys):
@@ -164,6 +178,11 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 4
         assert "all checks passed" in out
+
+    def test_negative_max_weight_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-weight", "-1", "--json")
+        assert code == 2 and out == ""
+        assert "--max-weight" in err
 
 
 class TestExample:

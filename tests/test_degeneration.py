@@ -23,7 +23,10 @@ def dense(poset):
     """The zeta and Moebius matrices as lists of lists, read off the rows."""
     m = len(poset)
     z = [[poset.zeta[i] >> j & 1 for j in range(m)] for i in range(m)]
-    mo = [[poset.moebius[i].get(j, 0) for j in range(m)] for i in range(m)]
+    mo = [[0] * m for _ in range(m)]
+    for i, lam in enumerate(poset.elements):
+        for nu, v in poset.moebius_row(lam):
+            mo[i][poset.index(nu)] = v
     return z, mo
 
 
@@ -107,7 +110,8 @@ class TestPoset:
         poset = build_poset(2)
         assert [str(p) for p in poset.elements] == ["(2)", "(1^2)"]
         assert poset.zeta == (0b11, 0b10)
-        assert poset.moebius == ({0: 1, 1: -1}, {1: 1})
+        assert poset.moebius_row(P("(2)")) == [(P("(2)"), 1), (P("(1^2)"), -1)]
+        assert poset.moebius_row(P("(1^2)")) == [(P("(1^2)"), 1)]
         assert dense(poset) == ([[1, 1], [0, 1]], [[1, -1], [0, 1]])
 
     def test_weight_one(self):
@@ -165,6 +169,29 @@ class TestPoset:
                     s = sum(mo[i][k] * z[k][j] for k in range(m))
                     assert s == (1 if i == j else 0)
 
+    @pytest.mark.parametrize("n", [18, 22])
+    def test_moebius_rows_above_dense_range(self, n):
+        # Sampled rows against the zeta rows: sum_k mu(i,k) zeta(k,j) is
+        # delta_ij over the up-set of i, every entry lies in that up-set,
+        # and every value is -1 or 1 (Brylawski 1973, dominance lattice).
+        poset = poset_of(n)
+        for i in range(0, len(poset), 7):
+            lam = poset.elements[i]
+            row = [(poset.index(nu), v) for nu, v in poset.moebius_row(lam)]
+            assert row[0] == (i, 1)
+            assert [k for k, _ in row] == sorted(k for k, _ in row)
+            for k, v in row:
+                assert poset.leq_at(i, k) and v in (-1, 1)
+            for nu in poset.up_set(lam):
+                j = poset.index(nu)
+                s = sum(v for k, v in row if poset.leq_at(k, j))
+                assert s == (1 if i == j else 0)
+
+    def test_moebius_row_is_a_fresh_list(self):
+        poset = build_poset(3)
+        poset.moebius_row(P("(3)")).clear()
+        assert poset.moebius_row(P("(3)")) == [(P("(3)"), 1), (P("(2,1)"), -1)]
+
     def test_index_rejects_wrong_weight(self):
         with pytest.raises(ValueError):
             poset_of(3).index(P("(2)"))
@@ -221,7 +248,8 @@ class TestDiskCache:
         loaded = load_poset(6, cache)
         assert loaded.elements == built.elements
         assert loaded.zeta == built.zeta
-        assert loaded.moebius == built.moebius
+        for lam in built.elements:
+            assert loaded.moebius_row(lam) == built.moebius_row(lam)
         with open(os.path.join(cache, "degposet-6.json")) as fh:
             rows = json.load(fh)["zeta_rows"]
         assert rows == [format(row, "x") for row in built.zeta]
