@@ -17,7 +17,6 @@ from .degeneration import (
 from .errors import CapExceededError, InfeasibleError, InterpolationError
 from .interpolate import (
     IntPoly,
-    constant_term_via_interpolation,
     interpolate_hall_poly,
     n_stat,
     usable_primes,
@@ -31,7 +30,6 @@ from .monoid import (
 from .oracle import (
     SUPPORTED_PRIMES,
     JordanModule,
-    PrimeField,
     Subspace,
     count_all_subspaces,
     enumerate_invariant_subspaces,
@@ -39,6 +37,7 @@ from .oracle import (
     hall_number,
     hall_number_table,
     jordan_type,
+    weight_cap,
 )
 from .partitions import ZERO, Partition, PartitionParseError, parse_partition
 
@@ -55,7 +54,6 @@ __all__ = [
     "JordanModule",
     "Partition",
     "PartitionParseError",
-    "PrimeField",
     "SUPPORTED_PRIMES",
     "Subspace",
     "ZERO",
@@ -63,7 +61,6 @@ __all__ = [
     "canonical_key",
     "check_extension_bound",
     "constant_term",
-    "constant_term_via_interpolation",
     "count_all_subspaces",
     "direct_sum",
     "enumerate_invariant_subspaces",
@@ -86,4 +83,5 @@ __all__ = [
     "save_poset",
     "up_set",
     "usable_primes",
+    "weight_cap",
 ]

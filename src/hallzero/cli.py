@@ -23,7 +23,7 @@ from .errors import CapExceededError, InfeasibleError, InterpolationError
 from .interpolate import interpolate_hall_poly
 from .monoid import generic_extension
 from .oracle import hall_number
-from .partitions import Partition, PartitionParseError, parse_partition
+from .partitions import parse_partition
 from .verification import run_all
 
 CACHE_ENV_VAR = "HALLZERO_CACHE_DIR"
@@ -82,8 +82,13 @@ def _cmd_poset(args: argparse.Namespace) -> int:
     poset = build_poset(args.n, cache_dir=cache_dir)
     edges = [(str(a), str(b)) for a, b in poset.hasse_edges()]
     if args.dot:
+        # Graphviz source; the unique minimal element renders at the top.
+        dot = ["digraph degeneration {", "  rankdir=TB;"]
+        dot.extend(f'  "{p}";' for p in poset.elements)
+        dot.extend(f'  "{a}" -> "{b}";' for a, b in edges)
+        dot.append("}")
         with open(args.dot, "w") as handle:
-            handle.write(poset.dot())
+            handle.write("\n".join(dot) + "\n")
     lines = [f"weight: {poset.n}", f"partitions: {len(poset)}"]
     lines.extend(str(p) for p in poset.elements)
     lines.append(f"hasse edges: {len(edges)}")
@@ -319,21 +324,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except PartitionParseError as exc:
+    except (InterpolationError, ValueError, OSError) as exc:
+        # CapExceededError covers InfeasibleError; parse errors are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InterpolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, InterpolationError):
+            return 1
+        return 3 if isinstance(exc, CapExceededError) else 2
 
 
 if __name__ == "__main__":

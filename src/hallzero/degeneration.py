@@ -52,12 +52,15 @@ def leq_deg(lam: Partition, nu: Partition) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def partitions_of(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> list[Partition]:
-    """All partitions of n, in descending lexicographic order."""
+def partitions_of(n: int) -> list[Partition]:
+    """All partitions of n, in descending lexicographic order.  A weight
+    above DEFAULT_WEIGHT_CAP raises CapExceededError."""
     if n < 0:
         raise ValueError("weight must be non-negative")
-    if n > cap:
-        raise CapExceededError(f"weight {n} exceeds the partition cap {cap}")
+    if n > DEFAULT_WEIGHT_CAP:
+        raise CapExceededError(
+            f"weight {n} exceeds the partition cap {DEFAULT_WEIGHT_CAP}"
+        )
     out: list[Partition] = []
 
     def emit(remaining: int, largest: int, prefix: list[int]) -> None:
@@ -106,11 +109,8 @@ class DegPoset:
         except KeyError:
             raise ValueError(f"{p} is not a partition of {self.n}") from None
 
-    def leq(self, lam: Partition, nu: Partition) -> bool:
-        return self.leq_at(self.index(lam), self.index(nu))
-
     def leq_at(self, i: int, j: int) -> bool:
-        """`leq` on element indices."""
+        """Does element i degenerate to element j?"""
         return bool(self.zeta[i] >> j & 1)
 
     def up_set(self, lam: Partition) -> list[Partition]:
@@ -139,26 +139,35 @@ class DegPoset:
         return list(row)
 
     def hasse_edges(self) -> list[tuple[Partition, Partition]]:
-        """Covering pairs (lam, nu) with lam strictly below nu."""
-        edges = []
-        for i, row in enumerate(self.zeta):
-            above = row & ~(1 << i)
-            covered = 0
-            for k in _select(range(len(self)), above):
-                covered |= self.zeta[k] & ~(1 << k)
-            lam = self.elements[i]
-            edges.extend((lam, nu) for nu in _select(self.elements, above & ~covered))
-        return edges
+        """Covering pairs (lam, nu) with lam strictly below nu, grouped by
+        lam and each group in element order.
 
-    def dot(self) -> str:
-        """Graphviz source; the unique minimal element renders at the top."""
-        lines = ["digraph degeneration {", "  rankdir=TB;"]
-        for p in self.elements:
-            lines.append(f'  "{p}";')
-        for a, b in self.hasse_edges():
-            lines.append(f'  "{a}" -> "{b}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        This order is the dominance order reversed, whose covers
+        Brylawski (The lattice of integer partitions, 1973) describes: nu
+        covers lam exactly when nu is lam with one box moved from row i
+        down to a row j > i, where j = i + 1 or lam_i = lam_j + 2."""
+        index = {p.parts: i for i, p in enumerate(self.elements)}
+        edges = []
+        for lam in self.elements:
+            rows = lam.parts + (0,)
+            covers = []
+            # Only the last row of a run of equal parts can give up a box.
+            for i in range(len(lam)):
+                a = rows[i]
+                if a < 2 or rows[i + 1] == a:
+                    continue
+                # Past the rows equal to a - 1, j is the first row the box
+                # can land in: right below i, or one of value a - 2.
+                j = i + 1
+                while rows[j] == a - 1:
+                    j += 1
+                if j == i + 1 or rows[j] == a - 2:
+                    nu = list(rows)
+                    nu[i] -= 1
+                    nu[j] += 1
+                    covers.append(index[tuple(filter(None, nu))])
+            edges.extend((lam, self.elements[k]) for k in sorted(covers))
+        return edges
 
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
@@ -199,16 +208,15 @@ def _zeta_rows(elements: list[Partition], n: int) -> tuple[int, ...]:
     )
 
 
-def build_poset(
-    n: int, cap: int = DEFAULT_WEIGHT_CAP, cache_dir: str | None = None
-) -> DegPoset:
-    """Build (or load from the disk cache) the degeneration poset of weight n."""
+def build_poset(n: int, cache_dir: str | None = None) -> DegPoset:
+    """Build (or load from the disk cache) the degeneration poset of weight
+    n.  A weight above DEFAULT_WEIGHT_CAP raises CapExceededError."""
     if cache_dir is not None:
         try:
-            return load_poset(n, cache_dir, cap=cap)
+            return load_poset(n, cache_dir)
         except (OSError, ValueError):
             pass
-    elements = partitions_of(n, cap)
+    elements = partitions_of(n)
     poset = DegPoset(n, tuple(elements), _zeta_rows(elements, n))
     if cache_dir is not None:
         save_poset(poset, cache_dir)
@@ -252,10 +260,11 @@ def save_poset(poset: DegPoset, cache_dir: str) -> str:
     return path
 
 
-def load_poset(n: int, cache_dir: str, cap: int = DEFAULT_WEIGHT_CAP) -> DegPoset:
+def load_poset(n: int, cache_dir: str) -> DegPoset:
     """Load a cached poset from its elements and zeta rows.
 
-    A weight above `cap` raises CapExceededError, as `build_poset` does.
+    A weight above DEFAULT_WEIGHT_CAP raises CapExceededError, as
+    `build_poset` does.
     Any malformed or mismatched file raises ValueError."""
     with open(_cache_path(cache_dir, n)) as handle:
         payload = json.load(handle)
@@ -269,6 +278,6 @@ def load_poset(n: int, cache_dir: str, cap: int = DEFAULT_WEIGHT_CAP) -> DegPose
     ):
         raise ValueError("cached elements and zeta rows must be lists of strings")
     elements = tuple(parse_partition(text) for text in texts)
-    if list(elements) != partitions_of(n, cap):
+    if list(elements) != partitions_of(n):
         raise ValueError("cached element list does not match the enumeration")
     return DegPoset(n, elements, tuple(int(text, 16) for text in rows))

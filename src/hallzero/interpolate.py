@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleError, InterpolationError
-from .oracle import SUPPORTED_PRIMES, PrimeField, hall_number
+from .oracle import SUPPORTED_PRIMES, hall_number, weight_cap
 from .partitions import Partition
 
 
@@ -74,7 +74,7 @@ class IntPoly:
 
 def usable_primes(weight: int) -> list[int]:
     """Sample primes whose enumeration cap admits the given weight."""
-    return [p for p in SUPPORTED_PRIMES if weight <= PrimeField(p).weight_cap]
+    return [p for p in SUPPORTED_PRIMES if weight <= weight_cap(p)]
 
 
 def _mul_linear(poly: list[Fraction], constant: int) -> list[Fraction]:
@@ -153,9 +153,3 @@ def interpolate_hall_poly(
         )
     return poly
 
-
-def constant_term_via_interpolation(
-    quotient: Partition, sub: Partition, outer: Partition
-) -> int:
-    """Constant coefficient of the interpolated Hall polynomial."""
-    return interpolate_hall_poly(quotient, sub, outer).constant

@@ -30,46 +30,35 @@ LARGE_PRIME_WEIGHT_CAP = 6  # p >= 5
 Row = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """Prime field of one of the supported sample primes."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.p not in SUPPORTED_PRIMES:
-            raise ValueError(
-                f"unsupported prime {self.p}; supported: {SUPPORTED_PRIMES}"
-            )
-
-    @property
-    def weight_cap(self) -> int:
-        return SMALL_PRIME_WEIGHT_CAP if self.p <= 3 else LARGE_PRIME_WEIGHT_CAP
+def weight_cap(p: int) -> int:
+    """The largest module weight the oracle enumerates over F_p.  An
+    unsupported prime raises ValueError."""
+    if p not in SUPPORTED_PRIMES:
+        raise ValueError(f"unsupported prime {p}; supported: {SUPPORTED_PRIMES}")
+    return SMALL_PRIME_WEIGHT_CAP if p <= 3 else LARGE_PRIME_WEIGHT_CAP
 
 
-def _as_field(p: "int | PrimeField") -> PrimeField:
-    return p if isinstance(p, PrimeField) else PrimeField(p)
-
-
-def _check_cap(weight: int, field: PrimeField, cap: int | None) -> None:
-    limit = field.weight_cap if cap is None else cap
+def _check_cap(weight: int, p: int) -> None:
+    limit = weight_cap(p)
     if weight > limit:
         raise CapExceededError(
-            f"weight {weight} exceeds the enumeration cap {limit} for p={field.p}"
+            f"weight {weight} exceeds the enumeration cap {limit} for p={p}"
         )
 
 
 class JordanModule:
-    """A nilpotent operator in Jordan form, block sizes given by a partition.
+    """A nilpotent operator in Jordan form over F_p, block sizes given by a
+    partition; p must be one of SUPPORTED_PRIMES.
 
     `matrix` has a 1 at (j, j + 1) inside each block; the operator acts on
     row vectors by v -> vM.  `depth[j]` is the place of coordinate j in
     its block, so (vM)[j] is v[j - 1] when depth[j] > 0 and 0 otherwise.
     """
 
-    def __init__(self, shape: Partition, p: "int | PrimeField"):
+    def __init__(self, shape: Partition, p: int):
+        weight_cap(p)  # rejects an unsupported prime
         self.shape = shape
-        self.field = _as_field(p)
+        self.p = p
         self.dim = shape.weight
         self.depth = tuple(i for size in shape.parts for i in range(size))
         self.matrix = tuple(
@@ -78,7 +67,7 @@ class JordanModule:
         )
 
     def __repr__(self) -> str:
-        return f"JordanModule(shape={self.shape}, p={self.field.p})"
+        return f"JordanModule(shape={self.shape}, p={self.p})"
 
 
 @dataclass(frozen=True)
@@ -136,11 +125,11 @@ def _matmul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
 
 
-def jordan_type(matrix, p: "int | PrimeField") -> Partition:
+def jordan_type(matrix, p: int) -> Partition:
     """Jordan type of a nilpotent square matrix over F_p."""
-    field = _as_field(p)
+    weight_cap(p)  # rejects an unsupported prime
     try:
-        rows = [[int(v) % field.p for v in row] for row in matrix]
+        rows = [[int(v) % p for v in row] for row in matrix]
     except TypeError:
         raise ValueError("expected a square matrix") from None
     n = len(rows)
@@ -148,10 +137,10 @@ def jordan_type(matrix, p: "int | PrimeField") -> Partition:
         raise ValueError("expected a square matrix")
     powers = [rows]
     while len(powers) < n:
-        powers.append(_matmul(powers[-1], rows, field.p))
+        powers.append(_matmul(powers[-1], rows, p))
     if any(any(row) for row in powers[-1]):
         raise ValueError("operator is not nilpotent")
-    conj = _type_from_ranks(n, lambda i: _rank(powers[i - 1], field.p))
+    conj = _type_from_ranks(n, lambda i: _rank(powers[i - 1], p))
     return Partition(conj).conjugate()
 
 
@@ -168,7 +157,7 @@ def _rows_with_pivot(
     w[q] = v[q - 1] of the lower pivots q < t.  The row is filled left to
     right, and the residual at t + 1 fixes or checks the entry at t.
     """
-    n, p, depth = module.dim, module.field.p, module.depth
+    n, p, depth = module.dim, module.p, module.depth
     fixed = dict.fromkeys(lower, 0)
     fixed[c] = 1
     prefixes: list[Row] = [(0,) * c]
@@ -209,11 +198,10 @@ def _invariant_bases(module: JordanModule, k: int) -> Iterator[tuple[Row, ...]]:
     return place((), ())
 
 
-def enumerate_invariant_subspaces(
-    module: JordanModule, cap: int | None = None
-) -> Iterator[Subspace]:
-    """Stream every invariant subspace exactly once (order unspecified)."""
-    _check_cap(module.dim, module.field, cap)
+def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[Subspace]:
+    """Stream every invariant subspace exactly once (order unspecified).
+    A module above the weight cap of its prime raises CapExceededError."""
+    _check_cap(module.dim, module.p)
     for k in range(module.dim + 1):
         for basis in _invariant_bases(module, k):
             yield Subspace(basis)
@@ -258,48 +246,42 @@ def _type_tables(
     }
 
 
-def hall_number(
-    outer: Partition,
-    quotient: Partition,
-    sub: Partition,
-    p: int,
-    cap: int | None = None,
-) -> int:
+def hall_number(outer: Partition, quotient: Partition, sub: Partition, p: int) -> int:
     """Number of submodules of M(outer) of type `sub` with quotient type
     `quotient`, over F_p.  Zero when the weights do not match; an
-    unsupported prime raises ValueError whatever the weights."""
-    field = _as_field(p)
+    unsupported prime raises ValueError whatever the weights, and an
+    outer weight above `weight_cap(p)` raises CapExceededError."""
+    weight_cap(p)  # rejects an unsupported prime
     if quotient.weight + sub.weight != outer.weight:
         return 0
-    _check_cap(outer.weight, field, cap)
-    return _type_tables(outer, sub.weight, field.p).get((quotient, sub), 0)
+    _check_cap(outer.weight, p)
+    return _type_tables(outer, sub.weight, p).get((quotient, sub), 0)
 
 
 def hall_number_table(
-    outer: Partition, p: int, dim: int | None = None, cap: int | None = None
+    outer: Partition, p: int, dim: int | None = None
 ) -> dict[tuple[Partition, Partition], int]:
     """All (quotient type, sub type) counts for M(outer) at once, or only
     those of submodules of dimension `dim`.  A `dim` above the weight
     gives an empty table; a negative one raises ValueError."""
-    field = _as_field(p)
     if dim is not None and dim < 0:
         raise ValueError(f"negative submodule dimension {dim}")
-    _check_cap(outer.weight, field, cap)
+    _check_cap(outer.weight, p)
     dims = range(outer.weight + 1) if dim is None else (dim,)
     merged: dict[tuple[Partition, Partition], int] = {}
     for k in dims:
-        for key, value in _type_tables(outer, k, field.p).items():
+        for key, value in _type_tables(outer, k, p).items():
             merged[key] = merged.get(key, 0) + value
     return merged
 
 
-def count_all_subspaces(n: int, p: int, cap: int | None = None) -> int:
+def count_all_subspaces(n: int, p: int) -> int:
     """Total number of subspaces of F_p^n, by running the enumeration on
     the zero operator, under which every subspace is invariant."""
     if n < 0:
         raise ValueError(f"negative dimension {n}")
     module = JordanModule(Partition((1,) * n), p)
-    return sum(1 for _ in enumerate_invariant_subspaces(module, cap))
+    return sum(1 for _ in enumerate_invariant_subspaces(module))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

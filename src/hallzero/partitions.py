@@ -59,10 +59,6 @@ class Partition:
         """Build a partition from parts given in any order."""
         return cls(tuple(sorted(values, reverse=True)))
 
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        return parse_partition(text)
-
     @property
     def weight(self) -> int:
         return sum(self.parts)

@@ -3,7 +3,10 @@ import os
 
 import pytest
 
+from hallzero import cli
 from hallzero.cli import main
+from hallzero.degeneration import DegPoset
+from hallzero.errors import InterpolationError
 
 
 def run(capsys, *argv):
@@ -108,6 +111,14 @@ class TestOracleCommands:
         assert code == 0
         assert payload == {"feasible": True, "coefficients": [1, 1]}
 
+    def test_hallpoly_interpolation_error(self, capsys, monkeypatch):
+        def fail(*args):
+            raise InterpolationError("validation failed at p=7")
+
+        monkeypatch.setattr(cli, "interpolate_hall_poly", fail)
+        code, out, err = run(capsys, "hallpoly", "(1)", "(1)", "(1^2)")
+        assert (code, out, err) == (1, "", "error: validation failed at p=7\n")
+
     def test_hallpoly_infeasible(self, capsys):
         code, out, _ = run(capsys, "hallpoly", "(1^2)", "(1^3)", "(1^5)")
         assert code == 3 and out.strip() == "infeasible"
@@ -130,9 +141,28 @@ class TestPoset:
         dot_file = tmp_path / "order.dot"
         code, _, _ = run(capsys, "poset", "3", "--dot", str(dot_file))
         assert code == 0
-        text = dot_file.read_text()
-        assert text.startswith("digraph degeneration {")
-        assert '"(3)" -> "(2,1)";' in text
+        assert dot_file.read_text() == (
+            "digraph degeneration {\n"
+            "  rankdir=TB;\n"
+            '  "(3)";\n'
+            '  "(2,1)";\n'
+            '  "(1^3)";\n'
+            '  "(3)" -> "(2,1)";\n'
+            '  "(2,1)" -> "(1^3)";\n'
+            "}\n"
+        )
+
+    def test_dot_computes_edges_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        hasse_edges = DegPoset.hasse_edges
+
+        def counted(poset):
+            calls.append(poset.n)
+            return hasse_edges(poset)
+
+        monkeypatch.setattr(DegPoset, "hasse_edges", counted)
+        code, _, _ = run(capsys, "poset", "4", "--dot", str(tmp_path / "o.dot"))
+        assert code == 0 and calls == [4]
 
     def test_cache_dir_flag(self, capsys, tmp_path):
         code, _, _ = run(capsys, "poset", "5", "--cache-dir", str(tmp_path))

@@ -96,7 +96,7 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             partitions_of(31)
-        assert len(partitions_of(31, cap=31)) == 6842
+        assert len(partitions_of(30)) == 5604
 
     def test_descending_lexicographic(self):
         for n in range(9):
@@ -230,14 +230,24 @@ class TestHasse:
                         expect.add((a, b))
             assert got == expect
 
-    def test_dot_export(self):
-        dot = poset_of(3).dot()
-        assert dot.startswith("digraph degeneration {")
-        assert "rankdir=TB;" in dot
-        assert '"(3)";' in dot
-        assert '"(3)" -> "(2,1)";' in dot
-        assert '"(2,1)" -> "(1^3)";' in dot
-        assert dot.rstrip().endswith("}")
+    def test_covering_rule_matches_zeta_rows(self):
+        # A cover of i is an element above i that no other element
+        # strictly above i lies below.
+        for n in range(21):
+            poset = poset_of(n)
+            expect = []
+            for i, row in enumerate(poset.zeta):
+                above = row & ~(1 << i)
+                covered = 0
+                for k in range(len(poset)):
+                    if above >> k & 1:
+                        covered |= poset.zeta[k] & ~(1 << k)
+                expect.extend(
+                    (poset.elements[i], nu)
+                    for k, nu in enumerate(poset.elements)
+                    if (above & ~covered) >> k & 1
+                )
+            assert poset.hasse_edges() == expect, n
 
 
 class TestDiskCache:
@@ -256,18 +266,19 @@ class TestDiskCache:
 
     def test_cached_poset_honours_cap(self, tmp_path):
         cache = str(tmp_path)
-        build_poset(4, cache_dir=cache)
         with pytest.raises(CapExceededError):
-            build_poset(4, cap=3, cache_dir=cache)
+            build_poset(31, cache_dir=cache)
+        assert os.listdir(cache) == []
+        # A file for a weight above the cap is refused with the same error.
+        with open(os.path.join(cache, "degposet-31.json"), "w") as fh:
+            json.dump(
+                {"format": "degposet/1", "n": 31, "elements": [], "zeta_rows": []}, fh
+            )
         with pytest.raises(CapExceededError):
-            load_poset(4, cache, cap=3)
-
-    def test_round_trip_with_cap(self, tmp_path):
-        cache = str(tmp_path)
-        built = build_poset(5, cap=5, cache_dir=cache)
-        loaded = load_poset(5, cache, cap=5)
-        assert loaded.elements == built.elements
-        assert loaded.zeta == built.zeta
+            load_poset(31, cache)
+        with pytest.raises(CapExceededError):
+            build_poset(31, cache_dir=cache)
+        assert os.listdir(cache) == ["degposet-31.json"]
 
     def test_no_temp_residue(self, tmp_path):
         build_poset(4, cache_dir=str(tmp_path))

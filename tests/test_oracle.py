@@ -7,7 +7,6 @@ from hallzero.degeneration import partitions_of
 from hallzero.errors import CapExceededError
 from hallzero.oracle import (
     JordanModule,
-    PrimeField,
     Subspace,
     count_all_subspaces,
     enumerate_invariant_subspaces,
@@ -15,6 +14,7 @@ from hallzero.oracle import (
     hall_number,
     hall_number_table,
     jordan_type,
+    weight_cap,
 )
 from hallzero.partitions import ZERO, Partition, parse_partition
 
@@ -73,13 +73,21 @@ def submodule_count(lam, nu, q):
 
 
 class TestPrimeField:
+    """Every entry point that takes a prime accepts the same ones."""
+
     def test_supported(self):
-        assert PrimeField(7).p == 7
+        assert JordanModule(P("(1)"), 7).p == 7
+        assert hall_number(P("(1)"), P("(1)"), ZERO, 7) == 1
+        assert (weight_cap(3), weight_cap(5), weight_cap(7)) == (8, 6, 6)
 
     @pytest.mark.parametrize("bad", [0, 1, 4, 6, 17])
     def test_rejected(self, bad):
-        with pytest.raises(ValueError):
-            PrimeField(bad)
+        with pytest.raises(ValueError, match="unsupported prime"):
+            JordanModule(P("(1)"), bad)
+        with pytest.raises(ValueError, match="unsupported prime"):
+            hall_number(P("(1)"), P("(1)"), ZERO, bad)
+        with pytest.raises(ValueError, match="unsupported prime"):
+            weight_cap(bad)
 
 
 class TestJordanModule:
@@ -165,8 +173,6 @@ class TestEnumeration:
             list(enumerate_invariant_subspaces(JordanModule(P("(1^9)"), 2)))
         with pytest.raises(CapExceededError):
             list(enumerate_invariant_subspaces(JordanModule(P("(1^7)"), 5)))
-        with pytest.raises(CapExceededError):
-            list(enumerate_invariant_subspaces(JordanModule(P("(1^3)"), 2), cap=2))
 
 
 class TestHallNumbers:

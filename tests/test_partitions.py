@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallzero.partitions import (
+    MAX_PART,
     ZERO,
     Partition,
     PartitionParseError,
@@ -196,3 +198,32 @@ class TestText:
             parse_partition(text)
         assert err.value.position == position
         assert f"position {position}" in str(err.value)
+
+
+def partitions(max_part):
+    return st.lists(st.integers(1, max_part), max_size=12).map(Partition.from_multiset)
+
+
+# Fixed examples, no example database: the same cases on every run.
+fixed = settings(derandomize=True, database=None)
+
+
+class TestProperties:
+    """The exhaustive tests above stop at small weights; these draw parts
+    up to the 32-bit bound for the parser and up to 40 elsewhere."""
+
+    @fixed
+    @given(partitions(MAX_PART))
+    def test_parser_round_trip(self, p):
+        assert parse_partition(str(p)) == p
+        assert parse_partition(",".join(map(str, p.parts)) or "0") == p
+
+    @fixed
+    @given(partitions(40))
+    def test_conjugation_is_an_involution(self, p):
+        assert p.conjugate().conjugate() == p
+
+    @fixed
+    @given(partitions(40), partitions(40))
+    def test_conjugation_exchanges_sum_and_union(self, a, b):
+        assert (a + b).conjugate() == a.conjugate().union(b.conjugate())
