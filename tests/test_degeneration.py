@@ -230,6 +230,29 @@ class TestHasse:
                         expect.add((a, b))
             assert got == expect
 
+    def test_dot_export(self, capsys, tmp_path):
+        # The Graphviz export is written by `poset --dot`; its nodes are
+        # the elements and its arrows the Hasse edges, both in order.
+        from hallzero.cli import main
+
+        for n in range(7):
+            path = tmp_path / f"order-{n}.dot"
+            assert main(["poset", str(n), "--dot", str(path)]) == 0
+            capsys.readouterr()
+            dot = path.read_text()
+            assert dot.startswith("digraph degeneration {")
+            assert "rankdir=TB;" in dot
+            assert dot.rstrip().endswith("}")
+            poset = poset_of(n)
+            lines = dot.splitlines()[2:-1]
+            assert lines == [f'  "{p}";' for p in poset.elements] + [
+                f'  "{a}" -> "{b}";' for a, b in poset.hasse_edges()
+            ]
+            if n == 3:
+                assert '"(3)";' in dot
+                assert '"(3)" -> "(2,1)";' in dot
+                assert '"(2,1)" -> "(1^3)";' in dot
+
     def test_covering_rule_matches_zeta_rows(self):
         # A cover of i is an element above i that no other element
         # strictly above i lies below.
