@@ -6,15 +6,17 @@ corresponding classical Hall polynomial.  Products are computed in
 closed matrix form: expand each factor through its sparse Moebius row,
 add partitions pairwise, and push back up through the up-sets of the
 zeta matrix.  This is the unitriangular back-substitution equivalent of
-eliminating step by step along the degeneration order.  The order is
-read only through :class:`~hallzero.degeneration.DegPoset` methods.
+eliminating step by step along the degeneration order.  A single
+constant term needs no up-set: it compares partial sums of the parts
+with the target's, so it builds posets only at the factors' weights.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Mapping
 
-from .degeneration import DegPoset, poset_of
+from .degeneration import _leq_sums, poset_of
 from .partitions import Partition
 
 
@@ -121,31 +123,34 @@ def f_inverse(x: H0Element) -> H0Element:
     return H0Element(out)
 
 
-def _fold(left: Partition, right: Partition) -> tuple[DegPoset, dict[int, int]]:
+def _fold(left: Partition, right: Partition) -> dict[Partition, int]:
     """u_left * u_right in the basis {f_map(s)}: expand both factors by
-    their Moebius rows and add the partitions pairwise.  Returns the poset
-    of the product's weight and the coefficients keyed by element index."""
-    poset = poset_of(left.weight + right.weight)
+    their Moebius rows and add the partitions pairwise.  Returns the
+    coefficients keyed by the partition s."""
     mo_right = poset_of(right.weight).moebius_row(right)
-    folded: dict[int, int] = {}
+    folded: dict[Partition, int] = {}
     for a, ca in poset_of(left.weight).moebius_row(left):
         for b, cb in mo_right:
-            i = poset.index(a + b)
-            folded[i] = folded.get(i, 0) + ca * cb
-    return poset, folded
+            s = a + b
+            folded[s] = folded.get(s, 0) + ca * cb
+    return folded
 
 
 def constant_term(left: Partition, right: Partition, target: Partition) -> int:
     """Constant term of the Hall polynomial for (left, right, target).
 
-    This is the coefficient of u_target in u_left * u_right.  Weight
-    mismatches return 0, matching the grading of the algebra.
+    This is the coefficient of u_target in u_left * u_right: the sum of
+    the folded coefficients on the partitions that degenerate to target.
+    Weight mismatches return 0, matching the grading of the algebra.
     """
     if left.weight + right.weight != target.weight:
         return 0
-    poset, folded = _fold(left, right)
-    t = poset.index(target)
-    return sum(g for i, g in folded.items() if poset.leq_at(i, t))
+    sums = tuple(accumulate(target.parts))
+    return sum(
+        g
+        for s, g in _fold(left, right).items()
+        if _leq_sums(accumulate(s.parts), sums)
+    )
 
 
 def h0_multiply(x: H0Element, y: H0Element) -> H0Element:
@@ -153,10 +158,10 @@ def h0_multiply(x: H0Element, y: H0Element) -> H0Element:
     out: dict[Partition, int] = {}
     for a, ca in x.items():
         for b, cb in y.items():
-            poset, folded = _fold(a, b)
-            for i, g in folded.items():
+            poset = poset_of(a.weight + b.weight)
+            for s, g in _fold(a, b).items():
                 if not g:
                     continue
-                for t in poset.up_set_at(i):
+                for t in poset.up_set(s):
                     out[t] = out.get(t, 0) + ca * cb * g
     return H0Element(out)

@@ -184,12 +184,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _example_data() -> list[dict]:
+def _cmd_example(args: argparse.Namespace) -> int:
     steps = []
+    lines = ["constant terms of Hall polynomials at the worked products", ""]
     for i, (left_text, right_text, targets) in enumerate(EXAMPLE_STEPS, start=1):
         left = parse_partition(left_text)
         right = parse_partition(right_text)
         product = h0_multiply(H0Element.basis(left), H0Element.basis(right))
+        values = [(t, constant_term(left, right, parse_partition(t))) for t in targets]
         steps.append(
             {
                 "step": i,
@@ -197,38 +199,17 @@ def _example_data() -> list[dict]:
                 "right": right_text,
                 "generic_extension": str(left + right),
                 "product": product.to_json_terms(),
-                "constant_terms": [
-                    {
-                        "target": t,
-                        "value": constant_term(left, right, parse_partition(t)),
-                    }
-                    for t in targets
-                ],
+                "constant_terms": [{"target": t, "value": v} for t, v in values],
             }
         )
-    return steps
-
-
-def _cmd_example(args: argparse.Namespace) -> int:
-    steps = _example_data()
-    if args.json:
-        print(json.dumps({"steps": steps}))
-        return 0
-    lines = ["constant terms of Hall polynomials at the worked products", ""]
-    for step in steps:
-        left, right = step["left"], step["right"]
-        product = H0Element(
-            [(parse_partition(t["partition"]), t["coeff"]) for t in step["product"]]
-        )
-        lines.append(f"step {step['step']}: u{left} * u{right}")
-        lines.append(f"  generic extension: {step['generic_extension']}")
+        lines.append(f"step {i}: u{left_text} * u{right_text}")
+        lines.append(f"  generic extension: {left + right}")
         lines.append(f"  product: {product}")
-        for ct in step["constant_terms"]:
-            lines.append(
-                f"  phi[{left},{right} -> {ct['target']}](0) = {ct['value']}"
-            )
+        lines.extend(
+            f"  phi[{left_text},{right_text} -> {t}](0) = {v}" for t, v in values
+        )
         lines.append("")
-    print("\n".join(lines).rstrip("\n"))
+    _emit(args, "\n".join(lines).rstrip("\n"), {"steps": steps})
     return 0
 
 

@@ -2,13 +2,17 @@
 
 M(lam) degenerates to M(nu) exactly when every prefix sum of the
 conjugate of lam is bounded by the corresponding prefix sum of the
-conjugate of nu.  For each weight n the poset of all partitions of n is
-materialized with its zeta matrix, one int bitset per row (the same rows
-the disk cache writes in hex).  A row of the exact integer inverse, the
-Moebius matrix, is computed from the zeta rows the first time it is
-asked for; the constant-term algorithm in :mod:`hallzero.algebra` reads
-only the rows of the factors it multiplies, and reads the order only
-through :class:`DegPoset` methods.
+conjugate of nu.  Conjugation reverses the dominance order (Macdonald,
+Symmetric Functions and Hall Polynomials, Ch. I, (1.11)), so this is the
+same as: no partial sum nu_1 + ... + nu_k of the parts of nu exceeds the
+partial sum lam_1 + ... + lam_k of lam.  The code uses only that
+partial-sum form; under it the generic extension a + b is the sum of
+partial-sum vectors.
+
+For each weight n the poset of all partitions of n is materialized with
+its zeta matrix, one int bitset per row (the same rows the disk cache
+writes in hex).  A row of the exact integer inverse, the Moebius matrix,
+is computed from the zeta rows the first time it is asked for.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ import json
 import os
 import tempfile
 from functools import lru_cache, reduce
-from itertools import compress
-from operator import and_
-from typing import Sequence
+from itertools import accumulate, compress
+from operator import and_, ge
+from typing import Iterable, Sequence
 
 from .errors import CapExceededError
 from .partitions import Partition, parse_partition
@@ -28,28 +32,20 @@ DEFAULT_WEIGHT_CAP = 30
 CACHE_FORMAT = "degposet/1"
 
 
-def _conjugate_prefix(p: Partition, length: int) -> tuple[int, ...]:
-    """Prefix sums of the conjugate partition, padded to `length` entries."""
-    conj = p.conjugate().parts
-    sums = []
-    total = 0
-    for i in range(length):
-        if i < len(conj):
-            total += conj[i]
-        sums.append(total)
-    return tuple(sums)
+def _leq_sums(lam_sums: Iterable[int], nu_sums: Iterable[int]) -> bool:
+    """lam <= nu, given the partial sums of the parts of two partitions of
+    the same weight: no partial sum of nu exceeds lam's.  Both sequences
+    end at the weight, so stopping at the shorter one loses nothing."""
+    return all(map(ge, lam_sums, nu_sums))
 
 
 def leq_deg(lam: Partition, nu: Partition) -> bool:
-    """Degeneration test: do conjugate prefix sums compare pointwise?"""
+    """Degeneration test: does M(lam) degenerate to M(nu)?"""
     if lam.weight != nu.weight:
         raise ValueError(
             f"weight mismatch: |{lam}| = {lam.weight} but |{nu}| = {nu.weight}"
         )
-    length = max(lam.parts[0] if lam else 0, nu.parts[0] if nu else 0)
-    a = _conjugate_prefix(lam, length)
-    b = _conjugate_prefix(nu, length)
-    return all(x <= y for x, y in zip(a, b))
+    return _leq_sums(accumulate(lam.parts), accumulate(nu.parts))
 
 
 def partitions_of(n: int) -> list[Partition]:
@@ -109,17 +105,9 @@ class DegPoset:
         except KeyError:
             raise ValueError(f"{p} is not a partition of {self.n}") from None
 
-    def leq_at(self, i: int, j: int) -> bool:
-        """Does element i degenerate to element j?"""
-        return bool(self.zeta[i] >> j & 1)
-
     def up_set(self, lam: Partition) -> list[Partition]:
         """Everything lam degenerates to, in element order (lam included)."""
-        return self.up_set_at(self.index(lam))
-
-    def up_set_at(self, i: int) -> list[Partition]:
-        """`up_set` of the element at index i."""
-        return _select(self.elements, self.zeta[i])
+        return _select(self.elements, self.zeta[self.index(lam)])
 
     def moebius_row(self, lam: Partition) -> list[tuple[Partition, int]]:
         """The nonzero values mu(lam, nu), as (nu, value) pairs in element
@@ -193,18 +181,21 @@ def _check_unitriangular(zeta: tuple[int, ...], m: int) -> None:
 
 
 def _zeta_rows(elements: list[Partition], n: int) -> tuple[int, ...]:
-    prefs = [_conjugate_prefix(p, max(1, n)) for p in elements]
-    # at_least[c][v]: bitset of the elements whose c-th prefix sum is >= v.
-    at_least = []
-    for c in range(max(1, n)):
-        bits = [0] * (n + 2)
-        for j, pref in enumerate(prefs):
-            bits[pref[c]] |= 1 << j
-        for v in range(n, -1, -1):
-            bits[v] |= bits[v + 1]
-        at_least.append(bits)
+    # Only the partial sums before the last part vary: the last is n.
+    sums = [tuple(accumulate(p.parts))[:-1] for p in elements]
+    # at_most[c][v]: bitset of the elements whose c-th partial sum is at
+    # most v < n; row i is their AND at element i's own partial sums.
+    at_most = [[0] * n for _ in range(n)]
+    for j, s in enumerate(sums):
+        for bits, v in zip(at_most, s):
+            bits[v] |= 1 << j
+    for bits in at_most:
+        for v in range(1, n):
+            bits[v] |= bits[v - 1]
+    everything = (1 << len(elements)) - 1
     return tuple(
-        reduce(and_, (bits[v] for bits, v in zip(at_least, pref))) for pref in prefs
+        reduce(and_, (bits[v] for bits, v in zip(at_most, s)), everything)
+        for s in sums
     )
 
 

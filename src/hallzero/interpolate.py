@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .errors import InfeasibleError, InterpolationError
 from .oracle import SUPPORTED_PRIMES, hall_number, weight_cap
@@ -27,12 +28,15 @@ def n_stat(p: Partition) -> int:
 
 @dataclass(frozen=True)
 class IntPoly:
-    """Dense integer polynomial; coefficients constant term first."""
+    """Dense integer polynomial; coefficients constant term first.
+
+    Coefficients go through operator.index, so a float or Fraction raises
+    TypeError instead of being truncated."""
 
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(index, self.coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)

@@ -8,8 +8,7 @@ monoid, and conjugation swaps the two pictures.
 
 from __future__ import annotations
 
-from itertools import zip_longest
-
+from .degeneration import leq_deg
 from .partitions import Partition
 
 
@@ -39,17 +38,11 @@ def check_extension_bound(
     """Prefix-sum bound satisfied by any extension of M(quotient) by M(sub).
 
     True iff every prefix sum of `middle` is at most the corresponding
-    prefix sum of quotient + sub.
+    prefix sum of quotient + sub, that is, iff M(quotient + sub)
+    degenerates to M(middle).
     """
     if middle.weight != quotient.weight + sub.weight:
         raise ValueError(
             f"weight mismatch: |{middle}| != |{quotient}| + |{sub}|"
         )
-    bound = quotient + sub
-    s = t = 0
-    for a, b in zip_longest(middle.parts, bound.parts, fillvalue=0):
-        s += a
-        t += b
-        if s > t:
-            return False
-    return True
+    return leq_deg(quotient + sub, middle)

@@ -32,8 +32,8 @@ Row = tuple[int, ...]
 
 def weight_cap(p: int) -> int:
     """The largest module weight the oracle enumerates over F_p.  An
-    unsupported prime raises ValueError."""
-    if p not in SUPPORTED_PRIMES:
+    unsupported prime, a non-int such as 2.0 included, raises ValueError."""
+    if not isinstance(p, int) or p not in SUPPORTED_PRIMES:
         raise ValueError(f"unsupported prime {p}; supported: {SUPPORTED_PRIMES}")
     return SMALL_PRIME_WEIGHT_CAP if p <= 3 else LARGE_PRIME_WEIGHT_CAP
 

@@ -9,7 +9,8 @@ union, and conjugation exchanges them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, zip_longest
+from itertools import groupby
+from operator import add, index
 from typing import Iterable, Iterator
 
 MAX_PART = 2**31 - 1
@@ -40,7 +41,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(self.parts)
+        parts = tuple(map(index, self.parts))
         for i, value in enumerate(parts):
             if value < 0:
                 raise ValueError(f"negative part {value} at index {i}")
@@ -78,9 +79,10 @@ class Partition:
         """Componentwise sum, the shorter operand padded with zeros."""
         if not isinstance(other, Partition):
             return NotImplemented
-        return Partition(
-            tuple(a + b for a, b in zip_longest(self.parts, other.parts, fillvalue=0))
-        )
+        a, b = self.parts, other.parts
+        if len(a) < len(b):
+            a, b = b, a
+        return Partition(tuple(map(add, a, b)) + a[len(b) :])
 
     def union(self, other: "Partition") -> "Partition":
         """Merge of the two multisets of parts, sorted descending."""
@@ -127,19 +129,17 @@ def _scan_number(text: str, pos: int) -> tuple[int, int]:
     return int(text[start:pos]), pos
 
 
-def _parse_exponent_form(text: str) -> Partition:
-    if len(text) >= 2 and text[1] == ")":
-        if len(text) != 2:
-            raise PartitionParseError("trailing characters", text, 2)
-        return ZERO
+def _parse_terms(text: str, pos: int, close: str) -> Partition:
+    """Comma-separated terms from `pos` up to `close`: ")" in exponent
+    form, where a term may be value^count, or "" (the end of the text) in
+    comma form."""
     values: list[int] = []
     prev: int | None = None
-    pos = 1
     while True:
         term_start = pos
         value, pos = _scan_number(text, pos)
         count = 1
-        if pos < len(text) and text[pos] == "^":
+        if close and text[pos : pos + 1] == "^":
             count, pos = _scan_number(text, pos + 1)
         if count:
             if prev is not None and value > prev:
@@ -150,40 +150,15 @@ def _parse_exponent_form(text: str) -> Partition:
                 )
             prev = value
             values.extend([value] * count)
-        if pos >= len(text):
-            raise PartitionParseError("missing closing parenthesis", text, pos)
-        if text[pos] == ")":
-            if pos + 1 != len(text):
+        end = text[pos : pos + 1]
+        if end == close:
+            if close and pos + 1 != len(text):
                 raise PartitionParseError("trailing characters", text, pos + 1)
             return Partition(tuple(values))
-        if text[pos] != ",":
-            raise PartitionParseError(
-                f"unexpected character {text[pos]!r}", text, pos
-            )
-        pos += 1
-
-
-def _parse_comma_form(text: str) -> Partition:
-    values: list[int] = []
-    prev: int | None = None
-    pos = 0
-    while True:
-        term_start = pos
-        value, pos = _scan_number(text, pos)
-        if prev is not None and value > prev:
-            raise PartitionParseError(
-                f"parts not weakly decreasing ({value} after {prev})",
-                text,
-                term_start,
-            )
-        prev = value
-        values.append(value)
-        if pos == len(text):
-            return Partition(tuple(values))
-        if text[pos] != ",":
-            raise PartitionParseError(
-                f"unexpected character {text[pos]!r}", text, pos
-            )
+        if not end:
+            raise PartitionParseError("missing closing parenthesis", text, pos)
+        if end != ",":
+            raise PartitionParseError(f"unexpected character {end!r}", text, pos)
         pos += 1
 
 
@@ -195,6 +170,10 @@ def parse_partition(text: str) -> Partition:
     """
     if not text:
         raise PartitionParseError("empty input", text, 0)
-    if text[0] == "(":
-        return _parse_exponent_form(text)
-    return _parse_comma_form(text)
+    if text[0] != "(":
+        return _parse_terms(text, 0, "")
+    if text[1:2] == ")":
+        if len(text) != 2:
+            raise PartitionParseError("trailing characters", text, 2)
+        return ZERO
+    return _parse_terms(text, 1, ")")

@@ -1,3 +1,5 @@
+import pytest
+
 from hallzero.algebra import (
     H0Element,
     canonical_key,
@@ -6,7 +8,7 @@ from hallzero.algebra import (
     f_map,
     h0_multiply,
 )
-from hallzero.degeneration import leq_deg, partitions_of, up_set
+from hallzero.degeneration import DEFAULT_WEIGHT_CAP, leq_deg, partitions_of, up_set
 from hallzero.oracle import hall_number
 from hallzero.partitions import ZERO, Partition, parse_partition
 
@@ -133,6 +135,25 @@ class TestConstantTerm:
 
     def test_weight_mismatch_is_zero(self):
         assert constant_term(P("(2)"), P("(1)"), P("(2)")) == 0
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ("(9,5,2)", "(7,7,1)"),
+            ("(8,4,3)", "(6,5,4,2)"),
+            ("(6,5,4,3,2,1)", "(5,4,3,2,1)"),
+            ("(10,10,5,5)", "(4,3,2,1)"),
+            ("(12,8,5)", "(10,9,6)"),
+        ],
+    )
+    def test_target_above_the_weight_cap(self, a, b):
+        # Total weights 31 to 50: only the factors' posets are built, so
+        # the weight cap applies to them and not to the target.
+        a, b = P(a), P(b)
+        n = a.weight + b.weight
+        assert n > DEFAULT_WEIGHT_CAP
+        assert constant_term(a, b, a + b) == 1
+        assert constant_term(a, b, Partition((n,))) == 0
 
     def test_support_lies_above_generic_extension(self):
         for a in partitions_up_to(6):

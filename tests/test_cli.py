@@ -68,6 +68,17 @@ class TestAlgebraCommands:
         code, out, _ = run(capsys, "const", "(2,1)", "(2)", "(3,1^2)")
         assert code == 0 and out.strip() == "-1"
 
+    def test_const_is_capped_by_its_factors(self, capsys):
+        # Total weight 50: each factor is within the weight cap.
+        code, out, _ = run(capsys, "const", "(12,8,5)", "(10,9,6)", "(22,17,11)")
+        assert code == 0 and out == "1\n"
+        code, out, err = run(capsys, "const", "(31)", "()", "(31)")
+        assert code == 3 and out == "" and "cap" in err
+
+    def test_h0mul_is_capped_by_the_full_weight(self, capsys):
+        code, out, err = run(capsys, "h0mul", "(16)", "(15)")
+        assert code == 3 and out == "" and "cap" in err
+
     def test_fmap(self, capsys):
         code, payload = run_json(capsys, "fmap", "(3,2)")
         assert code == 0

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hallzero.algebra import constant_term
@@ -33,6 +35,14 @@ class TestIntPoly:
     def test_strips_leading_zeros(self):
         assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
         assert IntPoly((0, 0)).coeffs == ()
+
+    def test_coefficients_are_integers(self):
+        # A Fraction or float is refused, never truncated to an int.
+        with pytest.raises(TypeError):
+            IntPoly((Fraction(1, 2), 1.9))
+        with pytest.raises(TypeError):
+            IntPoly((1, 2.0))
+        assert IntPoly((True, 2)).coeffs == (1, 2)
 
     def test_degree(self):
         assert IntPoly((1, 2)).degree == 1

@@ -189,6 +189,15 @@ class TestHallNumbers:
     def test_weight_mismatch_is_zero(self):
         assert hall_number(P("(2)"), P("(2)"), P("(1)"), 2) == 0
 
+    def test_non_int_prime_rejected(self):
+        for bad in (2.0, 3.0, "3"):
+            with pytest.raises(ValueError, match="unsupported prime"):
+                weight_cap(bad)
+        with pytest.raises(ValueError, match="unsupported prime"):
+            hall_number(P("(1)"), P("(1)"), ZERO, 3.0)
+        with pytest.raises(ValueError, match="unsupported prime"):
+            hall_number(P("(2,1)"), P("(1)"), P("(2)"), 2.0)
+
     def test_bad_prime_rejected_before_weight_check(self):
         with pytest.raises(ValueError, match="unsupported prime"):
             hall_number(P("(1)"), P("(1)"), P("(1)"), 4)

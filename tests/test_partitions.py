@@ -60,6 +60,16 @@ class TestConstruction:
     def test_from_multiset_sorts(self):
         assert Partition.from_multiset([1, 3, 2, 3]).parts == (3, 3, 2, 1)
 
+    def test_parts_are_integers(self):
+        # Parts go through operator.index: True is 1, a float is refused.
+        ones = Partition((True, True))
+        assert ones == Partition((1, 1)) and str(ones) == "(1^2)"
+        assert all(type(v) is int for v in ones.parts)
+        with pytest.raises(TypeError):
+            Partition((1.5,))
+        with pytest.raises(TypeError):
+            Partition((2.0, 1))
+
     def test_equality_and_hash(self):
         assert Partition([2, 1, 0]) == Partition([2, 1])
         assert hash(Partition([2, 1, 0])) == hash(Partition([2, 1]))
