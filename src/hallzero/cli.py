@@ -2,8 +2,14 @@
 
 Partitions on the command line use the same grammar as the library:
 comma form "3,1,1" or exponent form "(3,1^2)"; quote the parentheses in
-a shell.  Every subcommand accepts --json and then emits a single JSON
-document carrying the same values as the text output.
+a shell; a partition's weight is at most MAX_WEIGHT = 2**20.  Every
+subcommand accepts --json and then emits a single JSON document carrying
+the same values as the text output.
+
+The subcommands in COMMANDS print their value by one rule: an algebra
+element as its string, in JSON {"terms": ...}; a bool as true or false
+and an int as digits, in JSON {"result": value}; anything else (a
+partition) as its string, in JSON {"result": string}.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse or file
 error, 3 enumeration cap exceeded or interpolation infeasible.
@@ -23,7 +29,7 @@ from .errors import CapExceededError, InfeasibleError, InterpolationError
 from .interpolate import interpolate_hall_poly
 from .monoid import generic_extension
 from .oracle import hall_number
-from .partitions import parse_partition
+from .partitions import Partition, parse_partition
 from .verification import run_all
 
 CACHE_ENV_VAR = "HALLZERO_CACHE_DIR"
@@ -45,35 +51,44 @@ def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
         print(text)
 
 
-def _cmd_conj(args: argparse.Namespace) -> int:
-    result = parse_partition(args.partition).conjugate()
-    _emit(args, str(result), {"result": str(result)})
-    return 0
+def _h0mul(left: Partition, right: Partition) -> H0Element:
+    return h0_multiply(H0Element.basis(left), H0Element.basis(right))
 
 
-def _cmd_add(args: argparse.Namespace) -> int:
-    result = parse_partition(args.left) + parse_partition(args.right)
-    _emit(args, str(result), {"result": str(result)})
-    return 0
+_ONE = (("partition", None),)
+_PAIR = (("left", None), ("right", None))
+_QUOTIENT, _SUB, _OUTER = "quotient type", "submodule type", "ambient module type"
+_CONST = (("left", _QUOTIENT), ("right", _SUB), ("target", _OUTER))
+_HALLNUM = (("outer", _OUTER), ("quotient", _QUOTIENT), ("sub", _SUB))
+
+# One row per subcommand that applies one library function to partitions:
+# name, help, (argument, help) pairs, and the function of the parsed
+# arguments (hallnum also passes --p).  The values print by the rule in
+# the module docstring.
+COMMANDS = (
+    ("conj", "conjugate (dual) partition", _ONE, Partition.conjugate),
+    ("add", "componentwise sum of two partitions", _PAIR, Partition.__add__),
+    ("union", "multiset union of two partitions", _PAIR, Partition.union),
+    ("degle", "does the first module degenerate to the second", _PAIR, leq_deg),
+    ("genext", "generic extension of two module classes", _PAIR, generic_extension),
+    ("fmap", "embedding of a module class into the algebra", _ONE, f_map),
+    ("h0mul", "product of two basis symbols, all structure constants", _PAIR, _h0mul),
+    ("const", "constant term of one Hall polynomial", _CONST, constant_term),
+    ("hallnum", "submodule count by brute-force enumeration", _HALLNUM, hall_number),
+)
 
 
-def _cmd_union(args: argparse.Namespace) -> int:
-    result = parse_partition(args.left).union(parse_partition(args.right))
-    _emit(args, str(result), {"result": str(result)})
-    return 0
-
-
-def _cmd_genext(args: argparse.Namespace) -> int:
-    result = generic_extension(
-        parse_partition(args.left), parse_partition(args.right)
+def _cmd_table(args: argparse.Namespace) -> int:
+    value = args.function(
+        *(parse_partition(getattr(args, name)) for name, _ in args.arguments),
+        *([args.p] if "p" in args else []),
     )
-    _emit(args, str(result), {"result": str(result)})
-    return 0
-
-
-def _cmd_degle(args: argparse.Namespace) -> int:
-    result = leq_deg(parse_partition(args.left), parse_partition(args.right))
-    _emit(args, "true" if result else "false", {"result": result})
+    if isinstance(value, H0Element):
+        _emit(args, str(value), {"terms": value.to_json_terms()})
+    elif isinstance(value, int):
+        _emit(args, json.dumps(value), {"result": value})
+    else:
+        _emit(args, str(value), {"result": str(value)})
     return 0
 
 
@@ -105,42 +120,6 @@ def _cmd_poset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fmap(args: argparse.Namespace) -> int:
-    element = f_map(parse_partition(args.partition))
-    _emit(args, str(element), {"terms": element.to_json_terms()})
-    return 0
-
-
-def _cmd_h0mul(args: argparse.Namespace) -> int:
-    product = h0_multiply(
-        H0Element.basis(parse_partition(args.left)),
-        H0Element.basis(parse_partition(args.right)),
-    )
-    _emit(args, str(product), {"terms": product.to_json_terms()})
-    return 0
-
-
-def _cmd_const(args: argparse.Namespace) -> int:
-    value = constant_term(
-        parse_partition(args.left),
-        parse_partition(args.right),
-        parse_partition(args.target),
-    )
-    _emit(args, str(value), {"result": value})
-    return 0
-
-
-def _cmd_hallnum(args: argparse.Namespace) -> int:
-    value = hall_number(
-        parse_partition(args.outer),
-        parse_partition(args.quotient),
-        parse_partition(args.sub),
-        args.p,
-    )
-    _emit(args, str(value), {"result": value})
-    return 0
-
-
 def _cmd_hallpoly(args: argparse.Namespace) -> int:
     try:
         poly = interpolate_hall_poly(
@@ -164,23 +143,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-weight must be non-negative, got {args.max_weight}")
     results = run_all(args.max_weight)
     ok = all(r.passed for r in results)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": ok,
-                    "max_weight": args.max_weight,
-                    "checks": [
-                        {"name": r.name, "passed": r.passed, "detail": r.detail}
-                        for r in results
-                    ],
-                }
-            )
-        )
-    else:
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-        print("all checks passed" if ok else "verification FAILED")
+    checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+    lines.append("all checks passed" if ok else "verification FAILED")
+    payload = {"ok": ok, "max_weight": args.max_weight, "checks": checks}
+    _emit(args, "\n".join(lines), payload)
     return 0 if ok else 1
 
 
@@ -233,51 +200,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    p = add("conj", _cmd_conj, "conjugate (dual) partition")
-    p.add_argument("partition")
-
-    p = add("add", _cmd_add, "componentwise sum of two partitions")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("union", _cmd_union, "multiset union of two partitions")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("degle", _cmd_degle, "does the first module degenerate to the second")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("poset", _cmd_poset, "degeneration poset of a weight, with Hasse edges")
-    p.add_argument("n", type=int)
-    p.add_argument("--dot", metavar="FILE", help="write a Graphviz file")
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help=f"poset disk cache (defaults to ${CACHE_ENV_VAR} when set)",
-    )
-
-    p = add("genext", _cmd_genext, "generic extension of two module classes")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("fmap", _cmd_fmap, "embedding of a module class into the algebra")
-    p.add_argument("partition")
-
-    p = add("h0mul", _cmd_h0mul, "product of two basis symbols, all structure constants")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("const", _cmd_const, "constant term of one Hall polynomial")
-    p.add_argument("left", help="quotient type")
-    p.add_argument("right", help="submodule type")
-    p.add_argument("target", help="ambient module type")
-
-    p = add("hallnum", _cmd_hallnum, "submodule count by brute-force enumeration")
-    p.add_argument("outer", help="ambient module type")
-    p.add_argument("quotient", help="quotient type")
-    p.add_argument("sub", help="submodule type")
-    p.add_argument("--p", type=int, required=True, help="prime field size")
+    for name, help_text, arguments, function in COMMANDS:
+        p = add(name, _cmd_table, help_text)
+        p.set_defaults(arguments=arguments, function=function)
+        for argument, argument_help in arguments:
+            p.add_argument(argument, help=argument_help)
+        if name == "hallnum":
+            p.add_argument("--p", type=int, required=True, help="prime field size")
+        if name != "degle":
+            continue
+        # poset keeps its place after degle in the usage line.
+        p = add("poset", _cmd_poset, "degeneration poset of a weight, with Hasse edges")
+        p.add_argument("n", type=int)
+        p.add_argument("--dot", metavar="FILE", help="write a Graphviz file")
+        p.add_argument(
+            "--cache-dir",
+            metavar="DIR",
+            help=f"poset disk cache (defaults to ${CACHE_ENV_VAR} when set)",
+        )
 
     p = add("hallpoly", _cmd_hallpoly, "full Hall polynomial by exact interpolation")
     p.add_argument("quotient", help="quotient type")

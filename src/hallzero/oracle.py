@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Callable, Iterator
 
 from .errors import CapExceededError
@@ -126,15 +127,18 @@ def _matmul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
 
 
 def jordan_type(matrix, p: int) -> Partition:
-    """Jordan type of a nilpotent square matrix over F_p."""
+    """Jordan type of a nilpotent square matrix over F_p.  Entries go
+    through operator.index, so a float raises TypeError instead of being
+    truncated."""
     weight_cap(p)  # rejects an unsupported prime
     try:
-        rows = [[int(v) % p for v in row] for row in matrix]
+        rows = [list(row) for row in matrix]
     except TypeError:
         raise ValueError("expected a square matrix") from None
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("expected a square matrix")
+    rows = [[index(v) % p for v in row] for row in rows]
     powers = [rows]
     while len(powers) < n:
         powers.append(_matmul(powers[-1], rows, p))

@@ -9,11 +9,12 @@ union, and conjugation exchanges them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from operator import add, index
 from typing import Iterable, Iterator
 
-MAX_PART = 2**31 - 1
+# Bound on the weight, so no input asks for an unbounded list of parts.
+MAX_WEIGHT = 2**20
 
 _DIGITS = "0123456789"
 
@@ -45,12 +46,12 @@ class Partition:
         for i, value in enumerate(parts):
             if value < 0:
                 raise ValueError(f"negative part {value} at index {i}")
-            if value > MAX_PART:
-                raise ValueError(f"part {value} exceeds the 32-bit part bound")
             if i and parts[i - 1] < value:
                 raise ValueError(
                     f"parts not weakly decreasing: {parts[i - 1]} < {value} at index {i}"
                 )
+        if sum(parts) > MAX_WEIGHT:
+            raise ValueError(f"weight {sum(parts)} exceeds the bound {MAX_WEIGHT}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         object.__setattr__(self, "parts", parts)
@@ -65,14 +66,14 @@ class Partition:
         return sum(self.parts)
 
     def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram: entry i counts parts >= i+1."""
-        if not self.parts:
-            return Partition()
+        """Transpose of the Young diagram: entry i counts parts >= i+1.
+
+        The value k appears parts[k-1] - parts[k] times, so the transpose
+        takes time proportional to parts[0] + len(parts)."""
+        ends = self.parts + (0,)
+        counts = range(len(self.parts), 0, -1)
         return Partition(
-            tuple(
-                sum(1 for v in self.parts if v >= i)
-                for i in range(1, self.parts[0] + 1)
-            )
+            chain.from_iterable(repeat(k, ends[k - 1] - ends[k]) for k in counts)
         )
 
     def __add__(self, other: "Partition") -> "Partition":
@@ -135,6 +136,7 @@ def _parse_terms(text: str, pos: int, close: str) -> Partition:
     comma form."""
     values: list[int] = []
     prev: int | None = None
+    weight = 0
     while True:
         term_start = pos
         value, pos = _scan_number(text, pos)
@@ -149,6 +151,11 @@ def _parse_terms(text: str, pos: int, close: str) -> Partition:
                     term_start,
                 )
             prev = value
+            weight += value * count
+            if weight > MAX_WEIGHT:
+                raise PartitionParseError(
+                    f"weight exceeds the bound {MAX_WEIGHT}", text, term_start
+                )
             values.extend([value] * count)
         end = text[pos : pos + 1]
         if end == close:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallzero.algebra import (
     H0Element,
@@ -19,6 +20,10 @@ U = H0Element.basis
 
 def partitions_up_to(n):
     return [p for w in range(n + 1) for p in partitions_of(w)]
+
+
+# A basis factor of weight at most 6.
+basis_factors = st.integers(0, 6).flatmap(lambda n: st.sampled_from(partitions_of(n)))
 
 
 class TestH0Element:
@@ -200,6 +205,15 @@ class TestMultiply:
                     left = h0_multiply(h0_multiply(U(a), U(b)), U(c))
                     right = h0_multiply(U(a), h0_multiply(U(b), U(c)))
                     assert left == right
+
+    # Fixed examples, no example database: the same cases on every run.
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(basis_factors, basis_factors, basis_factors)
+    def test_associative_property(self, a, b, c):
+        """Total weights up to 18, past the exhaustive test's 6."""
+        left = h0_multiply(h0_multiply(U(a), U(b)), U(c))
+        right = h0_multiply(U(a), h0_multiply(U(b), U(c)))
+        assert left == right
 
     def test_bilinear(self):
         a, b, c = U(P("(2)")), U(P("(1,1)")), U(P("(1)"))

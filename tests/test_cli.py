@@ -4,9 +4,12 @@ import os
 import pytest
 
 from hallzero import cli
+from hallzero.algebra import H0Element
 from hallzero.cli import main
 from hallzero.degeneration import DegPoset
 from hallzero.errors import InterpolationError
+from hallzero.interpolate import IntPoly
+from hallzero.partitions import parse_partition
 
 
 def run(capsys, *argv):
@@ -18,6 +21,32 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, _ = run(capsys, *argv, "--json")
     return code, json.loads(out)
+
+
+# Arguments for every subcommand of the command table, and for hallpoly.
+VALUE_CASES = {
+    "conj": ["(3,3,2,1)"],
+    "add": ["(3^2,2,1)", "(2^2)"],
+    "union": ["(3,3,2,1)", "(2,2)"],
+    "degle": ["(3,1^2)", "(2^2,1)"],
+    "genext": ["(1^3)", "(2)"],
+    "fmap": ["(3,2)"],
+    "h0mul": ["(2,1)", "(2)"],
+    "const": ["(2,1)", "(2)", "(3,1^2)"],
+    "hallnum": ["(1^2)", "(1)", "(1)", "--p", "2"],
+    "hallpoly": ["(2,1)", "(2)", "(3,1^2)"],
+}
+
+
+def text_of(payload):
+    """The text output that carries the same value as a JSON payload."""
+    if "terms" in payload:
+        terms = {parse_partition(t["partition"]): t["coeff"] for t in payload["terms"]}
+        return str(H0Element(terms))
+    if "coefficients" in payload:
+        return str(IntPoly(tuple(payload["coefficients"])))
+    result = payload["result"]
+    return result if isinstance(result, str) else json.dumps(result)
 
 
 class TestPartitionCommands:
@@ -37,10 +66,14 @@ class TestPartitionCommands:
         code, out, _ = run(capsys, "genext", "(1^3)", "(2)")
         assert code == 0 and out.strip() == "(3,1^2)"
 
-    def test_json_matches_text(self, capsys):
-        _, out, _ = run(capsys, "conj", "(3,3,2,1)")
-        _, payload = run_json(capsys, "conj", "(3,3,2,1)")
-        assert payload == {"result": out.strip()}
+    @pytest.mark.parametrize(
+        "command", [row[0] for row in cli.COMMANDS] + ["hallpoly"]
+    )
+    def test_json_matches_text(self, capsys, command):
+        code, out, _ = run(capsys, command, *VALUE_CASES[command])
+        json_code, payload = run_json(capsys, command, *VALUE_CASES[command])
+        assert code == json_code == 0
+        assert text_of(payload) == out.rstrip("\n")
 
 
 class TestDegle:
@@ -255,6 +288,12 @@ class TestUsageErrors:
     def test_bad_partition(self, capsys):
         code, _, err = run(capsys, "conj", "1,2")
         assert code == 2 and "position" in err
+
+    def test_weight_bound(self, capsys):
+        code, out, err = run(capsys, "conj", "2147483647")
+        assert (code, out) == (2, "") and "exceeds the bound" in err
+        code, out, err = run(capsys, "conj", "(1^3000000000)")
+        assert (code, out) == (2, "") and "position 1" in err
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

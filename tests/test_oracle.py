@@ -133,6 +133,12 @@ class TestJordanType:
         with pytest.raises(ValueError):
             jordan_type([[0] * 3 for _ in range(2)], 2)
 
+    def test_entries_are_integers(self):
+        # int() would truncate 1.9 to 1 and report the type (2).
+        with pytest.raises(TypeError):
+            jordan_type([[0, 1.9], [0, 0]], 2)
+        assert jordan_type([[False, True], [False, False]], 2) == P("(2)")
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("p", [2, 3, 5])

@@ -1,8 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallzero.partitions import (
-    MAX_PART,
+    MAX_WEIGHT,
     ZERO,
     Partition,
     PartitionParseError,
@@ -54,8 +56,14 @@ class TestConstruction:
             Partition([3, -1])
 
     def test_rejects_oversized_part(self):
-        with pytest.raises(ValueError):
-            Partition([2**31])
+        assert Partition([MAX_WEIGHT]).weight == MAX_WEIGHT
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            Partition([MAX_WEIGHT + 1])
+
+    def test_rejects_overweight(self):
+        # The bound is on the weight, not on each part.
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            Partition((MAX_WEIGHT // 2 + 1, MAX_WEIGHT // 2))
 
     def test_from_multiset_sorts(self):
         assert Partition.from_multiset([1, 3, 2, 3]).parts == (3, 3, 2, 1)
@@ -91,6 +99,13 @@ class TestConjugate:
 
     def test_zero(self):
         assert ZERO.conjugate() == ZERO
+
+    def test_linear_time(self):
+        # Time proportional to parts[0] + len(parts), not their product.
+        start = time.perf_counter()
+        conj = parse_partition("(20000,1^20000)").conjugate()
+        assert str(conj) == "(20001,1^19999)"
+        assert time.perf_counter() - start < 1.0
 
     def test_involution_exhaustive(self):
         for p in partitions_up_to(8):
@@ -201,6 +216,11 @@ class TestText:
             ("3)", 1),
             ("(3", 2),
             ("()x", 2),
+            # Over MAX_WEIGHT, reported at the term that crosses it
+            # before the term is expanded.
+            (f"(3,1^{MAX_WEIGHT})", 3),
+            (f"(2,1^{10**12})", 3),
+            (f"{MAX_WEIGHT},1", 8),
         ],
     )
     def test_parse_errors_carry_position(self, text, position):
@@ -219,11 +239,12 @@ fixed = settings(derandomize=True, database=None)
 
 
 class TestProperties:
-    """The exhaustive tests above stop at small weights; these draw parts
-    up to the 32-bit bound for the parser and up to 40 elsewhere."""
+    """The exhaustive tests above stop at small weights; these draw up to
+    12 parts, each up to a twelfth of MAX_WEIGHT for the parser (so the
+    weight stays within the bound) and up to 40 elsewhere."""
 
     @fixed
-    @given(partitions(MAX_PART))
+    @given(partitions(MAX_WEIGHT // 12))
     def test_parser_round_trip(self, p):
         assert parse_partition(str(p)) == p
         assert parse_partition(",".join(map(str, p.parts)) or "0") == p
