@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -31,8 +30,6 @@ from .monoid import generic_extension
 from .oracle import hall_number
 from .partitions import Partition, parse_partition
 from .verification import run_all
-
-CACHE_ENV_VAR = "HALLZERO_CACHE_DIR"
 
 # The worked product example: factor pairs and, per pair, the targets
 # whose constant terms the eliminations of each step pin down.
@@ -93,8 +90,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_poset(args: argparse.Namespace) -> int:
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
-    poset = build_poset(args.n, cache_dir=cache_dir)
+    poset = build_poset(args.n, cache_dir=args.cache_dir)
     edges = [(str(a), str(b)) for a, b in poset.hasse_edges()]
     if args.dot:
         # Graphviz source; the unique minimal element renders at the top.
@@ -213,11 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = add("poset", _cmd_poset, "degeneration poset of a weight, with Hasse edges")
         p.add_argument("n", type=int)
         p.add_argument("--dot", metavar="FILE", help="write a Graphviz file")
-        p.add_argument(
-            "--cache-dir",
-            metavar="DIR",
-            help=f"poset disk cache (defaults to ${CACHE_ENV_VAR} when set)",
-        )
+        p.add_argument("--cache-dir", metavar="DIR", help="poset disk cache")
 
     p = add("hallpoly", _cmd_hallpoly, "full Hall polynomial by exact interpolation")
     p.add_argument("quotient", help="quotient type")

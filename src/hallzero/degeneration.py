@@ -9,10 +9,11 @@ partial sum lam_1 + ... + lam_k of lam.  The code uses only that
 partial-sum form; under it the generic extension a + b is the sum of
 partial-sum vectors.
 
-For each weight n the poset of all partitions of n is materialized with
-its zeta matrix, one int bitset per row (the same rows the disk cache
-writes in hex).  A row of the exact integer inverse, the Moebius matrix,
-is computed from the zeta rows the first time it is asked for.
+For each weight n the poset of all partitions of n is built from n
+alone, with its zeta matrix as one int bitset per row (the same rows the
+disk cache writes in hex).  A row of the exact integer inverse, the
+Moebius matrix, is computed from the zeta rows the first time it is
+asked for.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from operator import and_, ge
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError
-from .partitions import Partition, parse_partition
+from .partitions import Partition
 
 DEFAULT_WEIGHT_CAP = 30
 CACHE_FORMAT = "degposet/1"
@@ -73,24 +74,23 @@ def partitions_of(n: int) -> list[Partition]:
 
 
 class DegPoset:
-    """All partitions of one weight, ordered by degeneration.
+    """All partitions of weight n, ordered by degeneration.
 
     Elements are listed in descending lexicographic order.  Row i of
     `zeta` is an int bitset whose bit j is set when element i degenerates
-    to element j.  Construction checks that the element order is a linear
-    extension of the degeneration order, so the zeta matrix is upper
-    unitriangular and each row of its exact inverse follows by forward
-    substitution along the up-set (see `moebius_row`).
+    to element j, that is, when element i dominates element j.  Dominance
+    implies lexicographic order (Macdonald, Ch. I §1), so the element order
+    extends the degeneration order: the zeta matrix is upper unitriangular
+    and each row of its exact inverse follows by forward substitution
+    along the up-set (see `moebius_row`).
+    A weight above DEFAULT_WEIGHT_CAP raises CapExceededError.
     """
 
-    def __init__(
-        self, n: int, elements: tuple[Partition, ...], zeta: tuple[int, ...]
-    ):
-        _check_unitriangular(zeta, len(elements))
+    def __init__(self, n: int):
         self.n = n
-        self.elements = elements
-        self.zeta = zeta
-        self._index = {p: i for i, p in enumerate(elements)}
+        self.elements = tuple(partitions_of(n))
+        self.zeta = _zeta_rows(self.elements, n)
+        self._index = {p: i for i, p in enumerate(self.elements)}
         self._moebius: dict[int, tuple[tuple[Partition, int], ...]] = {}
 
     def __len__(self) -> int:
@@ -168,19 +168,7 @@ def _select(items: Sequence, bits: int) -> list:
     return list(compress(items, bin(bits)[:1:-1].encode().translate(_DIGIT_VALUES)))
 
 
-def _check_unitriangular(zeta: tuple[int, ...], m: int) -> None:
-    """Row i of m must have bit i set, no lower bit, and no bit at m or above."""
-    if len(zeta) != m:
-        raise ValueError("zeta row count does not match the element list")
-    for i, row in enumerate(zeta):
-        if row >> m or row & ((2 << i) - 1) != 1 << i:
-            raise ValueError(
-                f"zeta matrix is not upper unitriangular at row {i}: the element "
-                "order is not a linear extension of the degeneration order"
-            )
-
-
-def _zeta_rows(elements: list[Partition], n: int) -> tuple[int, ...]:
+def _zeta_rows(elements: Sequence[Partition], n: int) -> tuple[int, ...]:
     # Only the partial sums before the last part vary: the last is n.
     sums = [tuple(accumulate(p.parts))[:-1] for p in elements]
     # at_most[c][v]: bitset of the elements whose c-th partial sum is at
@@ -200,15 +188,16 @@ def _zeta_rows(elements: list[Partition], n: int) -> tuple[int, ...]:
 
 
 def build_poset(n: int, cache_dir: str | None = None) -> DegPoset:
-    """Build (or load from the disk cache) the degeneration poset of weight
-    n.  A weight above DEFAULT_WEIGHT_CAP raises CapExceededError."""
+    """Build the degeneration poset of weight n, through the disk cache
+    when cache_dir is given: a file equal to the build is left alone, a
+    missing or different one is written.  A weight above
+    DEFAULT_WEIGHT_CAP raises CapExceededError and writes nothing."""
     if cache_dir is not None:
         try:
             return load_poset(n, cache_dir)
         except (OSError, ValueError):
             pass
-    elements = partitions_of(n)
-    poset = DegPoset(n, tuple(elements), _zeta_rows(elements, n))
+    poset = DegPoset(n)
     if cache_dir is not None:
         save_poset(poset, cache_dir)
     return poset
@@ -229,20 +218,23 @@ def _cache_path(cache_dir: str, n: int) -> str:
     return os.path.join(cache_dir, f"degposet-{n}.json")
 
 
-def save_poset(poset: DegPoset, cache_dir: str) -> str:
-    """Write the poset cache file atomically (temp file, then rename)."""
-    payload = {
+def _payload(poset: DegPoset) -> dict:
+    return {
         "format": CACHE_FORMAT,
         "n": poset.n,
         "elements": [str(p) for p in poset.elements],
         "zeta_rows": [format(row, "x") for row in poset.zeta],
     }
+
+
+def save_poset(poset: DegPoset, cache_dir: str) -> str:
+    """Write the poset cache file atomically (temp file, then rename)."""
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, poset.n)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+            json.dump(_payload(poset), handle)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -252,23 +244,13 @@ def save_poset(poset: DegPoset, cache_dir: str) -> str:
 
 
 def load_poset(n: int, cache_dir: str) -> DegPoset:
-    """Load a cached poset from its elements and zeta rows.
-
-    A weight above DEFAULT_WEIGHT_CAP raises CapExceededError, as
-    `build_poset` does.
-    Any malformed or mismatched file raises ValueError."""
+    """A fresh build of the poset of weight n, if its cache file holds
+    exactly the JSON `save_poset` writes for it; any other file raises
+    ValueError, so a file never changes the order.  A weight above
+    DEFAULT_WEIGHT_CAP raises CapExceededError, as `build_poset` does."""
     with open(_cache_path(cache_dir, n)) as handle:
         payload = json.load(handle)
-    if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
-        raise ValueError("unrecognized cache format")
-    if payload.get("n") != n:
-        raise ValueError("cache file is for a different weight")
-    texts, rows = payload.get("elements"), payload.get("zeta_rows")
-    if not (isinstance(texts, list) and isinstance(rows, list)) or not all(
-        isinstance(s, str) for s in texts + rows
-    ):
-        raise ValueError("cached elements and zeta rows must be lists of strings")
-    elements = tuple(parse_partition(text) for text in texts)
-    if list(elements) != partitions_of(n):
-        raise ValueError("cached element list does not match the enumeration")
-    return DegPoset(n, elements, tuple(int(text, 16) for text in rows))
+    poset = DegPoset(n)
+    if payload != _payload(poset):
+        raise ValueError(f"cache file for weight {n} differs from the build")
+    return poset

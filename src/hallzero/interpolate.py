@@ -1,15 +1,14 @@
 """Exact recovery of Hall polynomials from prime-field counts.
 
-The polynomial is fitted by Lagrange interpolation in exact rational
-arithmetic through oracle counts at the smallest primes, then validated
-at one held-out prime and checked for integer coefficients.  Floating
-point is never used here.
+The polynomial is fitted by Newton interpolation in integer arithmetic
+through oracle counts at the smallest primes, where an inexact division
+means no integer polynomial fits, then validated at one held-out prime.
+Floating point is never used here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index
 
 from .errors import InfeasibleError, InterpolationError
@@ -81,35 +80,28 @@ def usable_primes(weight: int) -> list[int]:
     return [p for p in SUPPORTED_PRIMES if weight <= weight_cap(p)]
 
 
-def _mul_linear(poly: list[Fraction], constant: int) -> list[Fraction]:
-    out = [Fraction(0)] * (len(poly) + 1)
-    for d, c in enumerate(poly):
-        out[d] += c * constant
-        out[d + 1] += c
-    return out
-
-
-def _lagrange_integer(xs: list[int], ys: list[int]) -> list[int]:
-    acc = [Fraction(0)] * len(xs)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        num = [Fraction(1)]
-        den = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = _mul_linear(num, -xj)
-            den *= xi - xj
-        weight = Fraction(yi, den)
-        for d, c in enumerate(num):
-            acc[d] += c * weight
-    out = []
-    for c in acc:
-        if c.denominator != 1:
-            raise InterpolationError(f"non-integer coefficient {c}")
-        out.append(int(c))
-    return out
+def _newton_integer(xs: list[int], ys: list[int]) -> list[int]:
+    """Coefficients, constant term first, of the polynomial of degree
+    below len(xs) through the points (xs[i], ys[i]), from its divided
+    differences on ints.  At integer nodes a polynomial has integer
+    coefficients exactly when all those are integers, so an inexact
+    division raises InterpolationError."""
+    c = list(ys)
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            c[i], rest = divmod(c[i] - c[i - 1], xs[i] - xs[i - k])
+            if rest:
+                raise InterpolationError(
+                    f"no integer polynomial fits the counts {ys} at {xs}"
+                )
+    # Horner on the Newton form: coeffs <- coeffs * (t - x_k) + c_k.
+    coeffs: list[int] = []
+    for ck, xk in zip(reversed(c), reversed(xs)):
+        coeffs.insert(0, 0)
+        for d in range(len(coeffs) - 1):
+            coeffs[d] -= xk * coeffs[d + 1]
+        coeffs[0] += ck
+    return coeffs
 
 
 def interpolate_hall_poly(
@@ -146,7 +138,7 @@ def interpolate_hall_poly(
         )
     xs = primes[: budget + 1]
     ys = [hall_number(outer, quotient, sub, p) for p in xs]
-    poly = IntPoly(tuple(_lagrange_integer(xs, ys)))
+    poly = IntPoly(tuple(_newton_integer(xs, ys)))
     check = primes[budget + 1]
     expected = hall_number(outer, quotient, sub, check)
     got = poly(check)

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator
 MAX_WEIGHT = 2**20
 
 _DIGITS = "0123456789"
+_MAX_DIGITS = len(str(MAX_WEIGHT))
 
 
 class PartitionParseError(ValueError):
@@ -52,8 +53,8 @@ class Partition:
                 )
         if sum(parts) > MAX_WEIGHT:
             raise ValueError(f"weight {sum(parts)} exceeds the bound {MAX_WEIGHT}")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
+        # The parts decrease weakly, so the zeros are a suffix.
+        parts = parts[: len(parts) - parts.count(0)]
         object.__setattr__(self, "parts", parts)
 
     @classmethod
@@ -121,12 +122,21 @@ class Partition:
 ZERO = Partition()
 
 
-def _scan_number(text: str, pos: int) -> tuple[int, int]:
+def _scan_number(text: str, pos: int, term_start: int) -> tuple[int, int]:
+    """The number at pos and the position after it.  A number above
+    MAX_WEIGHT, or written with more digits than MAX_WEIGHT has, is
+    refused at the start of its term before int() sees it."""
     start = pos
     while pos < len(text) and text[pos] in _DIGITS:
         pos += 1
     if pos == start:
         raise PartitionParseError("expected a digit", text, pos)
+    if pos - start > _MAX_DIGITS or int(text[start:pos]) > MAX_WEIGHT:
+        raise PartitionParseError(
+            f"number exceeds the bound {MAX_WEIGHT} or has over {_MAX_DIGITS} digits",
+            text,
+            term_start,
+        )
     return int(text[start:pos]), pos
 
 
@@ -139,10 +149,10 @@ def _parse_terms(text: str, pos: int, close: str) -> Partition:
     weight = 0
     while True:
         term_start = pos
-        value, pos = _scan_number(text, pos)
+        value, pos = _scan_number(text, pos, term_start)
         count = 1
         if close and text[pos : pos + 1] == "^":
-            count, pos = _scan_number(text, pos + 1)
+            count, pos = _scan_number(text, pos + 1, term_start)
         if count:
             if prev is not None and value > prev:
                 raise PartitionParseError(
@@ -156,7 +166,9 @@ def _parse_terms(text: str, pos: int, close: str) -> Partition:
                 raise PartitionParseError(
                     f"weight exceeds the bound {MAX_WEIGHT}", text, term_start
                 )
-            values.extend([value] * count)
+            # Zero parts are not expanded: Partition drops them anyway.
+            if value:
+                values.extend([value] * count)
         end = text[pos : pos + 1]
         if end == close:
             if close and pos + 1 != len(text):

@@ -213,12 +213,6 @@ class TestPoset:
         assert code == 0
         assert (tmp_path / "degposet-5.json").exists()
 
-    def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("HALLZERO_CACHE_DIR", str(tmp_path))
-        code, _, _ = run(capsys, "poset", "3")
-        assert code == 0
-        assert (tmp_path / "degposet-3.json").exists()
-
     def test_cache_dir_is_a_file(self, capsys, tmp_path):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
@@ -294,6 +288,13 @@ class TestUsageErrors:
         assert (code, out) == (2, "") and "exceeds the bound" in err
         code, out, err = run(capsys, "conj", "(1^3000000000)")
         assert (code, out) == (2, "") and "position 1" in err
+
+    def test_long_and_zero_part_numbers(self, capsys):
+        # Neither reaches int() on 5000 digits nor expands 10**12 zeros.
+        for text, position in (("0" * 4999 + "1", 0), ("(3,0^1000000000000)", 3)):
+            code, out, err = run(capsys, "conj", text)
+            assert (code, out) == (2, "") and f"position {position}" in err
+            assert err.startswith("error: ") and "Traceback" not in err
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

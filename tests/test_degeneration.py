@@ -4,6 +4,7 @@ import os
 import pytest
 
 from hallzero.degeneration import (
+    DEFAULT_WEIGHT_CAP,
     DegPoset,
     build_poset,
     leq_deg,
@@ -156,6 +157,16 @@ class TestPoset:
                         for k in range(m):
                             if z[j][k]:
                                 assert z[i][k]  # transitivity
+
+    def test_zeta_rows_upper_unitriangular(self):
+        # moebius_row's forward substitution needs the element order to
+        # extend the order: row i holds bit i and no lower or outside bit.
+        for n in range(DEFAULT_WEIGHT_CAP + 1):
+            poset = DegPoset(n)
+            m = len(poset)
+            assert len(poset.zeta) == m
+            for i, row in enumerate(poset.zeta):
+                assert row >> m == 0 and row & ((2 << i) - 1) == 1 << i, (n, i)
 
     def test_zeta_bits_match_independent_implementation(self):
         for n in range(13):
@@ -325,8 +336,24 @@ class TestDiskCache:
                 dict(payload, zeta_rows=[0x7F] + payload["zeta_rows"][1:])
             ),
             lambda payload: json.dumps([payload]),
+            # (3,1^2) no longer below (1^5): a valid shape, a wrong order.
+            lambda payload: json.dumps(
+                dict(
+                    payload,
+                    zeta_rows=[
+                        format(int(row, 16) & ~(1 << 6) if i == 3 else int(row, 16), "x")
+                        for i, row in enumerate(payload["zeta_rows"])
+                    ],
+                )
+            ),
         ],
-        ids=["not-json", "non-string-element", "integer-zeta-row", "top-level-list"],
+        ids=[
+            "not-json",
+            "non-string-element",
+            "integer-zeta-row",
+            "top-level-list",
+            "bit-flipped-zeta-row",
+        ],
     )
     def test_corrupt_cache_is_rebuilt(self, tmp_path, corrupt):
         cache = str(tmp_path)
@@ -339,8 +366,19 @@ class TestDiskCache:
             load_poset(5, cache)
         poset = build_poset(5, cache_dir=cache)
         assert len(poset) == 7
+        assert P("(1^5)") in poset.up_set(P("(3,1^2)"))
         loaded = load_poset(5, cache)  # rebuilt file is valid again
         assert loaded.zeta == poset.zeta
+        with open(path) as fh:
+            assert fh.read() == json.dumps(payload)
+
+    def test_matching_file_is_left_untouched(self, tmp_path):
+        cache = str(tmp_path)
+        path = save_poset(DegPoset(6), cache)
+        before = os.stat(path)
+        build_poset(6, cache_dir=cache)
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_wrong_weight_rejected(self, tmp_path):
         cache = str(tmp_path)

@@ -4,7 +4,8 @@ import pytest
 
 from hallzero.algebra import constant_term
 from hallzero.degeneration import partitions_of
-from hallzero.errors import InfeasibleError
+from hallzero import interpolate
+from hallzero.errors import InfeasibleError, InterpolationError
 from hallzero.interpolate import (
     IntPoly,
     interpolate_hall_poly,
@@ -111,6 +112,16 @@ class TestInterpolation:
     def test_infeasible_weight(self):
         with pytest.raises(InfeasibleError):
             interpolate_hall_poly(P("(1^4)"), P("(1^5)"), P("(1^9)"))
+
+    def test_non_integer_fit_rejected(self, monkeypatch):
+        # Degree budget 2, so the fit runs through p = 2, 3, 5.  The counts
+        # 0, 0, 1 fit only (t - 2)(t - 3) / 6, which is not integral.
+        counts = {2: 0, 3: 0, 5: 1, 7: 0}
+        monkeypatch.setattr(
+            interpolate, "hall_number", lambda outer, quo, sub, p: counts[p]
+        )
+        with pytest.raises(InterpolationError, match="no integer polynomial"):
+            interpolate_hall_poly(P("(2,1)"), P("(2)"), P("(3,1^2)"))
 
     def test_negative_budget_gives_zero(self):
         poly = interpolate_hall_poly(P("(1^3)"), P("(2)"), P("(5)"))

@@ -34,6 +34,10 @@ def partitions_up_to(n):
 class TestConstruction:
     def test_strips_trailing_zeros(self):
         assert Partition([3, 3, 2, 1, 0, 0]).parts == (3, 3, 2, 1)
+        # In one pass, not one slice per zero.
+        start = time.perf_counter()
+        assert Partition((3,) + (0,) * 10**5).parts == (3,)
+        assert time.perf_counter() - start < 1.0
 
     def test_empty_is_zero(self):
         assert Partition([]).parts == ()
@@ -187,6 +191,7 @@ class TestText:
 
     def test_parse_zero_multiplicity(self):
         assert parse_partition("(3,2^0)") == Partition([3])
+        assert parse_partition(f"(3,0^{MAX_WEIGHT})") == Partition([3])
 
     def test_format(self):
         assert str(Partition([3, 3, 2, 2, 2, 1, 1, 1, 1])) == "(3^2,2^3,1^4)"
@@ -221,6 +226,11 @@ class TestText:
             (f"(3,1^{MAX_WEIGHT})", 3),
             (f"(2,1^{10**12})", 3),
             (f"{MAX_WEIGHT},1", 8),
+            # A number above MAX_WEIGHT, or with more digits than it has,
+            # is refused at the start of its term, zero parts included.
+            pytest.param("0" * 4999 + "1", 0, id="5000-digits"),
+            ("(3,0^1000000000000)", 3),
+            ("(99999999^0)", 1),
         ],
     )
     def test_parse_errors_carry_position(self, text, position):
