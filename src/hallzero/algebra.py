@@ -14,6 +14,7 @@ with the target's, so it builds posets only at the factors' weights.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import index
 from typing import Iterable, Mapping
 
 from .degeneration import _leq_sums, poset_of
@@ -26,7 +27,10 @@ def canonical_key(p: Partition) -> tuple[int, tuple[int, ...]]:
 
 
 class H0Element:
-    """Formal integer linear combination of basis symbols u_p."""
+    """Formal integer linear combination of basis symbols u_p.
+
+    Coefficients go through operator.index, so a float or Fraction raises
+    TypeError and True counts as 1."""
 
     __slots__ = ("_terms",)
 
@@ -37,7 +41,7 @@ class H0Element:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Partition, int] = {}
         for part, coeff in items:
-            acc[part] = acc.get(part, 0) + coeff
+            acc[part] = acc.get(part, 0) + index(coeff)
         self._terms = {p: c for p, c in acc.items() if c}
 
     @classmethod

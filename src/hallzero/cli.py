@@ -92,7 +92,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_poset(args: argparse.Namespace) -> int:
     poset = build_poset(args.n, cache_dir=args.cache_dir)
     edges = [(str(a), str(b)) for a, b in poset.hasse_edges()]
-    if args.dot:
+    if args.dot is not None:
         # Graphviz source; the unique minimal element renders at the top.
         dot = ["digraph degeneration {", "  rankdir=TB;"]
         dot.extend(f'  "{p}";' for p in poset.elements)

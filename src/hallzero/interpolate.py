@@ -110,31 +110,22 @@ def interpolate_hall_poly(
     """Exact Hall polynomial for the triple, or raise.
 
     Fits through oracle counts at the first budget+1 usable primes and
-    validates at one more; raises InfeasibleError when fewer primes are
-    available than needed, InterpolationError on any inconsistency.
+    validates at the next one.  A negative degree budget forces the zero
+    polynomial, so it is clamped at -1: no prime is fitted and the first
+    one checks that the count vanishes.  Raises InfeasibleError when
+    fewer than budget+2 primes admit the weight (none does above every
+    cap), InterpolationError on any inconsistency.
     """
     if quotient.weight + sub.weight != outer.weight:
         raise ValueError(
             f"weight mismatch: |{quotient}| + |{sub}| != |{outer}|"
         )
     primes = usable_primes(outer.weight)
-    if not primes:
-        raise InfeasibleError(
-            f"no sample prime admits weight {outer.weight}: infeasible at desk scale"
-        )
-    budget = n_stat(outer) - n_stat(quotient) - n_stat(sub)
-    if budget < 0:
-        # The count must vanish identically; confirm at the smallest prime.
-        if hall_number(outer, quotient, sub, primes[0]) != 0:
-            raise InterpolationError(
-                "negative degree budget with a nonzero count at "
-                f"p={primes[0]} for ({quotient}, {sub}, {outer})"
-            )
-        return IntPoly()
+    budget = max(-1, n_stat(outer) - n_stat(quotient) - n_stat(sub))
     if len(primes) < budget + 2:
         raise InfeasibleError(
-            f"need {budget + 2} sample primes for ({quotient}, {sub}, {outer}), "
-            f"only {len(primes)} available: infeasible at desk scale"
+            f"({quotient}, {sub}, {outer}) needs {budget + 2} sample primes, "
+            f"{len(primes)} admit weight {outer.weight}: infeasible at desk scale"
         )
     xs = primes[: budget + 1]
     ys = [hall_number(outer, quotient, sub, p) for p in xs]
@@ -148,4 +139,3 @@ def interpolate_hall_poly(
             f"enumeration gives {expected}"
         )
     return poly
-

@@ -39,10 +39,7 @@ def check_extension_bound(
 
     True iff every prefix sum of `middle` is at most the corresponding
     prefix sum of quotient + sub, that is, iff M(quotient + sub)
-    degenerates to M(middle).
+    degenerates to M(middle).  leq_deg raises ValueError when
+    |middle| != |quotient| + |sub|.
     """
-    if middle.weight != quotient.weight + sub.weight:
-        raise ValueError(
-            f"weight mismatch: |{middle}| != |{quotient}| + |{sub}|"
-        )
     return leq_deg(quotient + sub, middle)

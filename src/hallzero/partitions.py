@@ -20,11 +20,25 @@ _DIGITS = "0123456789"
 _MAX_DIGITS = len(str(MAX_WEIGHT))
 
 
+_QUOTE_LIMIT = 60
+_QUOTE_RADIUS = 20
+
+
 class PartitionParseError(ValueError):
-    """Raised for text that does not match the partition grammar."""
+    """Raised for text that does not match the partition grammar.
+
+    The message quotes the input whole up to _QUOTE_LIMIT characters;
+    a longer input is quoted only around the position, with "..." at
+    each cut.  `.text` keeps the full input and `.position` the offset.
+    """
 
     def __init__(self, message: str, text: str, position: int):
-        super().__init__(f"{message} at position {position} in {text!r}")
+        quoted = repr(text)
+        if len(text) > _QUOTE_LIMIT:
+            start, end = max(0, position - _QUOTE_RADIUS), position + _QUOTE_RADIUS
+            cut = repr(text[start:end])
+            quoted = "..." * (start > 0) + cut + "..." * (end < len(text))
+        super().__init__(f"{message} at position {position} in {quoted}")
         self.text = text
         self.position = position
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .algebra import constant_term, f_map, h0_multiply
@@ -20,17 +21,23 @@ class CheckResult:
     detail: str
 
 
+def _pairs(n: int) -> Iterator[tuple[Partition, Partition]]:
+    """Every pair (a, b) of partitions with |a| + |b| = n, by |a| first."""
+    for wa in range(n + 1):
+        for a in partitions_of(wa):
+            for b in partitions_of(n - wa):
+                yield a, b
+
+
 def check_fmap_multiplicative(max_weight: int) -> CheckResult:
     """f_map turns generic extension (partition addition) into the product."""
     name = "fmap_multiplicative"
     pairs = 0
-    for wa in range(max_weight + 1):
-        for wb in range(max_weight + 1 - wa):
-            for a in partitions_of(wa):
-                for b in partitions_of(wb):
-                    pairs += 1
-                    if h0_multiply(f_map(a), f_map(b)) != f_map(a + b):
-                        return CheckResult(name, False, f"fails at {a} * {b}")
+    for n in range(max_weight + 1):
+        for a, b in _pairs(n):
+            pairs += 1
+            if h0_multiply(f_map(a), f_map(b)) != f_map(a + b):
+                return CheckResult(name, False, f"fails at {a} * {b}")
     return CheckResult(name, True, f"{pairs} products checked")
 
 
@@ -56,32 +63,25 @@ def check_ones_constant_terms(max_weight: int) -> CheckResult:
 
 def check_extension_extremality(max_weight: int) -> CheckResult:
     """Every extension counted at p=2 sits between the generic extension
-    and the direct sum, and satisfies the prefix-sum bound; the generic
-    extension itself is always counted."""
+    (the prefix-sum bound) and the direct sum; the generic extension
+    itself is always counted."""
     name = "extension_extremality"
     checked = 0
-    for wq in range(max_weight + 1):
-        for ws in range(max_weight + 1 - wq):
-            for quo in partitions_of(wq):
-                for sub in partitions_of(ws):
-                    minimal = quo + sub
-                    maximal = quo.union(sub)
-                    if hall_number(minimal, quo, sub, 2) <= 0:
-                        return CheckResult(
-                            name, False, f"generic extension of ({quo}, {sub}) not counted"
-                        )
-                    for mid in partitions_of(wq + ws):
-                        if hall_number(mid, quo, sub, 2) <= 0:
-                            continue
-                        checked += 1
-                        if not (
-                            leq_deg(minimal, mid)
-                            and leq_deg(mid, maximal)
-                            and check_extension_bound(mid, quo, sub)
-                        ):
-                            return CheckResult(
-                                name, False, f"fails at ({mid}; {quo}, {sub})"
-                            )
+    for n in range(max_weight + 1):
+        for quo, sub in _pairs(n):
+            if hall_number(quo + sub, quo, sub, 2) <= 0:
+                return CheckResult(
+                    name, False, f"generic extension of ({quo}, {sub}) not counted"
+                )
+            for mid in partitions_of(n):
+                if hall_number(mid, quo, sub, 2) <= 0:
+                    continue
+                checked += 1
+                if not (
+                    check_extension_bound(mid, quo, sub)
+                    and leq_deg(mid, quo.union(sub))
+                ):
+                    return CheckResult(name, False, f"fails at ({mid}; {quo}, {sub})")
     return CheckResult(name, True, f"{checked} extensions checked")
 
 
@@ -93,32 +93,25 @@ def check_interpolation_agreement(max_weight: int) -> CheckResult:
     feasible = skipped = 0
     for w in range(max_weight + 1):
         for outer in partitions_of(w):
-            for wq in range(w + 1):
-                for quo in partitions_of(wq):
-                    for sub in partitions_of(w - wq):
-                        try:
-                            poly = interpolate_hall_poly(quo, sub, outer)
-                        except InfeasibleError:
-                            skipped += 1
-                            continue
-                        feasible += 1
-                        if poly.constant != constant_term(quo, sub, outer):
-                            return CheckResult(
-                                name,
-                                False,
-                                f"constant mismatch at ({quo}, {sub}, {outer})",
-                            )
-                        budget = max(
-                            0, n_stat(outer) - n_stat(quo) - n_stat(sub)
+            for quo, sub in _pairs(w):
+                try:
+                    poly = interpolate_hall_poly(quo, sub, outer)
+                except InfeasibleError:
+                    skipped += 1
+                    continue
+                feasible += 1
+                if poly.constant != constant_term(quo, sub, outer):
+                    return CheckResult(
+                        name, False, f"constant mismatch at ({quo}, {sub}, {outer})"
+                    )
+                budget = max(0, n_stat(outer) - n_stat(quo) - n_stat(sub))
+                for p in usable_primes(w)[: budget + 2]:
+                    if poly(p) != hall_number(outer, quo, sub, p):
+                        return CheckResult(
+                            name,
+                            False,
+                            f"value mismatch at p={p} for ({quo}, {sub}, {outer})",
                         )
-                        for p in usable_primes(w)[: budget + 2]:
-                            if poly(p) != hall_number(outer, quo, sub, p):
-                                return CheckResult(
-                                    name,
-                                    False,
-                                    f"value mismatch at p={p} for "
-                                    f"({quo}, {sub}, {outer})",
-                                )
     return CheckResult(
         name, True, f"{feasible} feasible triples checked, {skipped} infeasible"
     )

@@ -97,7 +97,7 @@ def test_criterion_6_duality_and_order_structure():
         for b in small:
             if a.union(b).conjugate() != a.conjugate() + b.conjugate():
                 failures.append(f"duality fails at {a}, {b}")
-    for n in range(9):
+    for n in range(11):
         poset = poset_of(n)
         m = len(poset)
         z = [[poset.zeta[i] >> j & 1 for j in range(m)] for i in range(m)]

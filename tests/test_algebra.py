@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,6 @@ from hallzero.algebra import (
     h0_multiply,
 )
 from hallzero.degeneration import DEFAULT_WEIGHT_CAP, leq_deg, partitions_of, up_set
-from hallzero.oracle import hall_number
 from hallzero.partitions import ZERO, Partition, parse_partition
 
 P = parse_partition
@@ -30,6 +31,17 @@ class TestH0Element:
     def test_zero_coefficients_dropped(self):
         assert H0Element({P("(2)"): 0}) == H0Element()
         assert H0Element([(P("(2)"), 1), (P("(2)"), -1)]).is_zero()
+
+    def test_coefficients_are_integers(self):
+        # A float or Fraction is refused, never carried into products.
+        with pytest.raises(TypeError):
+            H0Element({P("(1)"): 0.5})
+        with pytest.raises(TypeError):
+            H0Element([(P("(1)"), Fraction(1, 2))])
+        with pytest.raises(TypeError):
+            H0Element({P("(1)"): 2.0})
+        x = H0Element({P("(1)"): True})
+        assert x == U(P("(1)")) and type(x.coefficient(P("(1)"))) is int
 
     def test_arithmetic(self):
         x = U(P("(2)")) + U(P("(1,1)"))
@@ -188,13 +200,6 @@ class TestMultiply:
         )
         assert lhs == f_map(P("(4,1)"))
 
-    def test_multiplicativity_of_embedding(self):
-        for a in partitions_up_to(5):
-            for b in partitions_up_to(5):
-                if a.weight + b.weight > 5:
-                    continue
-                assert h0_multiply(f_map(a), f_map(b)) == f_map(a + b)
-
     def test_associative_on_basis(self):
         parts = partitions_up_to(4)
         for a in parts:
@@ -219,16 +224,6 @@ class TestMultiply:
         a, b, c = U(P("(2)")), U(P("(1,1)")), U(P("(1)"))
         assert h0_multiply(a + b, c) == h0_multiply(a, c) + h0_multiply(b, c)
         assert h0_multiply(c, a + b) == h0_multiply(c, a) + h0_multiply(c, b)
-
-    def test_ones_factors_against_oracle(self):
-        for n in range(5):
-            for m in range(5 - n):
-                a = Partition((1,) * n)
-                b = Partition((1,) * m)
-                for g in partitions_of(n + m):
-                    value = constant_term(a, b, g)
-                    assert value in (0, 1)
-                    assert (value == 1) == (hall_number(g, a, b, 2) > 0)
 
     def test_product_at_the_weight_cap(self):
         a, b, g = P("(8,4,3)"), P("(6,5,4)"), P("(14,9,7)")

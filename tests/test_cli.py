@@ -227,6 +227,11 @@ class TestPoset:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not target.parent.exists()
 
+    def test_dot_into_empty_path(self, capsys):
+        code, out, err = run(capsys, "poset", "4", "--dot", "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestVerify:
     def test_small_weight_passes(self, capsys):
@@ -295,6 +300,11 @@ class TestUsageErrors:
             code, out, err = run(capsys, "conj", text)
             assert (code, out) == (2, "") and f"position {position}" in err
             assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_long_input_gives_a_short_message(self, capsys):
+        code, out, err = run(capsys, "conj", "9" * 5000)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert len(err) < 200 and "position 0" in err
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

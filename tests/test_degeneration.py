@@ -70,12 +70,6 @@ class TestLeqDeg:
                 for b in partitions_of(n):
                     assert leq_deg(a, b) == naive_leq(a, b)
 
-    def test_conjugation_anti_isomorphism(self):
-        for n in range(9):
-            for a in partitions_of(n):
-                for b in partitions_of(n):
-                    assert leq_deg(a, b) == leq_deg(b.conjugate(), a.conjugate())
-
 
 class TestEnumeration:
     def test_weight_four_order(self):
@@ -135,29 +129,6 @@ class TestPoset:
             assert up_set(ones) == [ones]
             assert set(up_set(row)) == set(partitions_of(n))
 
-    def test_unique_min_and_max(self):
-        for n in range(1, 11):
-            ones = Partition((1,) * n)
-            row = Partition((n,))
-            for p in partitions_of(n):
-                assert leq_deg(row, p)
-                assert leq_deg(p, ones)
-
-    def test_axioms(self):
-        for n in range(9):
-            poset = poset_of(n)
-            m = len(poset)
-            z, _ = dense(poset)
-            for i in range(m):
-                assert z[i][i] == 1
-                for j in range(m):
-                    if i != j and z[i][j]:
-                        assert not z[j][i]  # antisymmetry
-                    if z[i][j]:
-                        for k in range(m):
-                            if z[j][k]:
-                                assert z[i][k]  # transitivity
-
     def test_zeta_rows_upper_unitriangular(self):
         # moebius_row's forward substitution needs the element order to
         # extend the order: row i holds bit i and no lower or outside bit.
@@ -174,18 +145,6 @@ class TestPoset:
             for i, lam in enumerate(poset.elements):
                 for j, nu in enumerate(poset.elements):
                     assert poset.zeta[i] >> j & 1 == naive_leq(lam, nu)
-
-    def test_moebius_exact_inverse(self):
-        for n in range(11):
-            poset = poset_of(n)
-            m = len(poset)
-            z, mo = dense(poset)
-            for i in range(m):
-                for j in range(m):
-                    s = sum(z[i][k] * mo[k][j] for k in range(m))
-                    assert s == (1 if i == j else 0)
-                    s = sum(mo[i][k] * z[k][j] for k in range(m))
-                    assert s == (1 if i == j else 0)
 
     @pytest.mark.parametrize("n", [18, 22])
     def test_moebius_rows_above_dense_range(self, n):

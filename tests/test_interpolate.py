@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from hallzero.algebra import constant_term
 from hallzero.degeneration import partitions_of
 from hallzero import interpolate
 from hallzero.errors import InfeasibleError, InterpolationError
@@ -127,20 +126,11 @@ class TestInterpolation:
         poly = interpolate_hall_poly(P("(1^3)"), P("(2)"), P("(5)"))
         assert poly.is_zero()
 
-    def test_reproduces_oracle_at_sampled_primes(self):
-        cases = [
-            ("(1)", "(1)", "(1^2)"),
-            ("(2,1)", "(2)", "(3,1^2)"),
-            ("(1^3)", "(1^2)", "(2^2,1)"),
-            ("(2)", "(2)", "(2^2)"),
-            ("(1)", "(1^4)", "(1^5)"),
-        ]
-        for qt, st, ot in cases:
-            quo, sub, outer = P(qt), P(st), P(ot)
-            poly = interpolate_hall_poly(quo, sub, outer)
-            budget = max(0, n_stat(outer) - n_stat(quo) - n_stat(sub))
-            for p in usable_primes(outer.weight)[: budget + 2]:
-                assert poly(p) == hall_number(outer, quo, sub, p)
+    def test_negative_budget_with_nonzero_count_rejected(self, monkeypatch):
+        # Budget -3: the zero polynomial is fitted and p = 2 validates it.
+        monkeypatch.setattr(interpolate, "hall_number", lambda *args: 1)
+        with pytest.raises(InterpolationError, match="p=2"):
+            interpolate_hall_poly(P("(1^3)"), P("(2)"), P("(5)"))
 
 
 class TestConstantTermAgreement:
@@ -162,15 +152,3 @@ class TestConstantTermAgreement:
                             assert poly.is_zero() == (
                                 hall_number(outer, quo, sub, 2) == 0
                             )
-
-    def test_agreement_small_weights(self):
-        for w in range(6):
-            for outer in partitions_of(w):
-                for wq in range(w + 1):
-                    for quo in partitions_of(wq):
-                        for sub in partitions_of(w - wq):
-                            try:
-                                got = interpolate_hall_poly(quo, sub, outer).constant
-                            except InfeasibleError:
-                                continue
-                            assert got == constant_term(quo, sub, outer)

@@ -1,13 +1,12 @@
 import pytest
 
-from hallzero.degeneration import leq_deg, partitions_of
+from hallzero.degeneration import partitions_of
 from hallzero.monoid import (
     check_extension_bound,
     direct_sum,
     generic_extension,
     generic_extension_dual,
 )
-from hallzero.oracle import hall_number
 from hallzero.partitions import ZERO, Partition, parse_partition
 
 P = parse_partition
@@ -86,22 +85,3 @@ class TestExtensionBound:
     def test_weight_mismatch_rejected(self):
         with pytest.raises(ValueError):
             check_extension_bound(P("(3)"), P("(2,1)"), P("(2)"))
-
-
-class TestAgainstOracle:
-    """Small-scale extremality cross-checks; the acceptance suite runs
-    the full bound."""
-
-    def test_extremality_weight_four(self):
-        for quo in partitions_up_to(4):
-            for sub in partitions_up_to(4):
-                if quo.weight + sub.weight > 4:
-                    continue
-                minimal = generic_extension(quo, sub)
-                maximal = direct_sum(quo, sub)
-                assert hall_number(minimal, quo, sub, 2) > 0
-                for mid in partitions_of(quo.weight + sub.weight):
-                    if hall_number(mid, quo, sub, 2) > 0:
-                        assert leq_deg(minimal, mid)
-                        assert leq_deg(mid, maximal)
-                        assert check_extension_bound(mid, quo, sub)

@@ -236,8 +236,9 @@ class TestText:
     def test_parse_errors_carry_position(self, text, position):
         with pytest.raises(PartitionParseError) as err:
             parse_partition(text)
-        assert err.value.position == position
+        assert (err.value.text, err.value.position) == (text, position)
         assert f"position {position}" in str(err.value)
+        assert len(str(err.value)) < 200
 
 
 def partitions(max_part):
