@@ -30,7 +30,8 @@ class H0Element:
     """Formal integer linear combination of basis symbols u_p.
 
     Coefficients go through operator.index, so a float or Fraction raises
-    TypeError and True counts as 1."""
+    TypeError and True counts as 1.  A key that is not a Partition raises
+    TypeError too."""
 
     __slots__ = ("_terms",)
 
@@ -41,6 +42,8 @@ class H0Element:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Partition, int] = {}
         for part, coeff in items:
+            if not isinstance(part, Partition):
+                raise TypeError(f"basis key {part!r} is not a Partition")
             acc[part] = acc.get(part, 0) + index(coeff)
         self._terms = {p: c for p, c in acc.items() if c}
 

@@ -184,14 +184,16 @@ def _rows_with_pivot(
     return prefixes
 
 
-def _invariant_bases(module: JordanModule, k: int) -> Iterator[tuple[Row, ...]]:
+def _invariant_bases(
+    module: JordanModule, k: int
+) -> Iterator[tuple[tuple[Row, ...], tuple[int, ...]]]:
     """Reduced echelon bases, rows top to bottom, of the invariant
-    k-dimensional subspaces."""
+    k-dimensional subspaces, each with its pivot columns."""
 
     def place(below: tuple[Row, ...], pivots: tuple[int, ...]) -> Iterator:
         r = k - 1 - len(below)
         if r < 0:
-            yield below
+            yield below, pivots
             return
         # Row r's pivot leaves room for the r rows still to place above it.
         lower = dict(zip(pivots, below))
@@ -204,11 +206,14 @@ def _invariant_bases(module: JordanModule, k: int) -> Iterator[tuple[Row, ...]]:
 
 def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[Subspace]:
     """Stream every invariant subspace exactly once (order unspecified).
-    A module above the weight cap of its prime raises CapExceededError."""
+    A module above the weight cap of its prime raises CapExceededError
+    here, before the stream is returned."""
     _check_cap(module.dim, module.p)
-    for k in range(module.dim + 1):
-        for basis in _invariant_bases(module, k):
-            yield Subspace(basis)
+    return (
+        Subspace(basis)
+        for k in range(module.dim + 1)
+        for basis, _ in _invariant_bases(module, k)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +229,19 @@ def _type_tables(
     block ends.  The operator induced on the quotient has rank
     dim(im T^i + U) - k, and im T^i is spanned by the coordinates of
     depth >= i: that is their count plus the rank on the coordinates of
-    depth < i, minus k."""
+    depth < i, minus k.
+
+    A leaf is classified once per key, and the key fixes both operators.
+    Let the basis rows b_r have pivots c_r.  The row b_r maps to the sum
+    over s of b_r[c_s - 1] b_s, taken over the pivots with depth > 0;
+    where c_s - 1 is a pivot c_t that coefficient is 1 if r = t and 0
+    otherwise, and it is 0 for r >= s.  On V/U, spanned by the free
+    coordinates e_j, e_j maps to e_(j+1), or to 0 at the end of a block;
+    where j + 1 is a pivot c_s, e_(j+1) is e_(j+1) - b_s modulo U, which
+    is minus b_s on the free coordinates.  So the pivots, the rows b_s
+    and the entries of column c_s - 1 above them, for the pivots c_s
+    that follow a free coordinate in their block, fix T|U and the
+    quotient operator, and with them both types."""
     module = JordanModule(shape, p)
     n, depth = module.dim, module.depth
     room = [size - 1 - i for size in shape.parts for i in range(size)]
@@ -236,14 +253,31 @@ def _type_tables(
 
     # Tallied by the conjugates of the two types, which the ranks give.
     counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for basis in _invariant_bases(module, k):
+    # Per pivot tuple, the places of its key in a basis.
+    plans: dict[tuple[int, ...], tuple[list[tuple[int, int]], list[int]]] = {}
+    types: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for basis, pivots in _invariant_bases(module, k):
+        plan = plans.get(pivots)
+        if plan is None:
+            rows = [s for s, c in enumerate(pivots) if depth[c] and c - 1 not in pivots]
+            places = [(r, pivots[s] - 1) for s in rows for r in range(s)]
+            plan = plans[pivots] = places, rows
+        places, rows = plan
         key = (
-            _type_from_ranks(
-                n - k, lambda i: n - len(shallow[i]) + rank_on(basis, shallow[i]) - k
-            ),
-            _type_from_ranks(k, lambda i: rank_on(basis, shifted[i])),
+            pivots,
+            tuple([basis[r][j] for r, j in places]),
+            tuple([basis[s] for s in rows]),
         )
-        counts[key] = counts.get(key, 0) + 1
+        conj = types.get(key)
+        if conj is None:
+            conj = types[key] = (
+                _type_from_ranks(
+                    n - k,
+                    lambda i: n - len(shallow[i]) + rank_on(basis, shallow[i]) - k,
+                ),
+                _type_from_ranks(k, lambda i: rank_on(basis, shifted[i])),
+            )
+        counts[conj] = counts.get(conj, 0) + 1
     return {
         (Partition(quo).conjugate(), Partition(sub).conjugate()): count
         for (quo, sub), count in counts.items()
@@ -290,7 +324,12 @@ def count_all_subspaces(n: int, p: int) -> int:
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-space over a q-element
-    field, by the exact product formula."""
+    field, by the exact product formula.  q goes through operator.index,
+    and a q below 2 raises ValueError, since no field has fewer than two
+    elements."""
+    q = index(q)
+    if q < 2:
+        raise ValueError(f"a field has at least 2 elements, not {q}")
     if k < 0 or k > n:
         return 0
     num = den = 1

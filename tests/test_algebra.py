@@ -43,6 +43,13 @@ class TestH0Element:
         x = H0Element({P("(1)"): True})
         assert x == U(P("(1)")) and type(x.coefficient(P("(1)"))) is int
 
+    def test_keys_are_partitions(self):
+        # Refused at once, not left to fail later in str() or a product.
+        with pytest.raises(TypeError, match="not a Partition"):
+            H0Element({(1,): 2})
+        with pytest.raises(TypeError, match="not a Partition"):
+            H0Element([("(1)", 1)])
+
     def test_arithmetic(self):
         x = U(P("(2)")) + U(P("(1,1)"))
         assert x.coefficient(P("(2)")) == 1

@@ -16,7 +16,7 @@ from hallzero.oracle import (
     jordan_type,
     weight_cap,
 )
-from hallzero.partitions import ZERO, parse_partition
+from hallzero.partitions import ZERO, Partition, parse_partition
 
 P = parse_partition
 
@@ -70,6 +70,37 @@ def submodule_count(lam, nu, q):
             lc[i] - nc[i + 1], nc[i] - nc[i + 1], q
         )
     return out
+
+
+def jordan_type_from_ranks(ranks):
+    """Jordan type from the ranks dim, r_1, r_2, ... of the powers of a
+    nilpotent operator: r_(i-1) - r_i blocks have size at least i."""
+    at_least = [a - b for a, b in zip(ranks, ranks[1:])]
+    return Partition(tuple(a for a in at_least if a)).conjugate()
+
+
+def joint_table(outer, p):
+    """(quotient type, sub type) tally over every enumerated subspace, with
+    both types from ranks of matrix powers computed here."""
+    module = JordanModule(outer, p)
+    n = module.dim
+    powers = [mat_pow(module.matrix, i, p) for i in range(n + 1)]
+    table = {}
+    for sub in enumerate_invariant_subspaces(module):
+        basis = [list(row) for row in sub.basis]
+        images = [
+            [
+                [sum(v[t] * m[t][j] for t in range(n)) % p for j in range(n)]
+                for v in basis
+            ]
+            for m in powers
+        ]
+        sub_type = jordan_type_from_ranks([rank_gf(rows, p) for rows in images])
+        quo_type = jordan_type_from_ranks(
+            [rank_gf(m + basis, p) - sub.dim for m in powers]
+        )
+        table[quo_type, sub_type] = table.get((quo_type, sub_type), 0) + 1
+    return table
 
 
 class TestPrimeField:
@@ -180,6 +211,11 @@ class TestEnumeration:
         with pytest.raises(CapExceededError):
             list(enumerate_invariant_subspaces(JordanModule(P("(1^7)"), 5)))
 
+    def test_cap_checked_at_call(self):
+        # The call raises; nothing is iterated.
+        with pytest.raises(CapExceededError):
+            enumerate_invariant_subspaces(JordanModule(P("(1^7)"), 5))
+
 
 class TestHallNumbers:
     def test_lines_in_the_plane(self):
@@ -248,6 +284,21 @@ class TestHallNumbers:
                         assert by_sub.get(nu, 0) == expected, (outer, nu)
                         assert by_quotient.get(nu, 0) == expected, (outer, nu)
 
+    @pytest.mark.parametrize(
+        "p,shapes",
+        [
+            (7, ["(3,1)", "(2,2)", "(2,1,1)", "(1^4)"]),
+            (11, ["(3,2)", "(2,2,1)"]),
+            (13, ["(3,1)", "(2,2)", "(2,1,1)", "(1^3)"]),
+        ],
+    )
+    def test_joint_tables_at_large_primes(self, p, shapes):
+        # Most leaves share their classification with an earlier one at
+        # these primes; the tables must still equal one built leaf by leaf.
+        for text in shapes:
+            outer = P(text)
+            assert hall_number_table(outer, p) == joint_table(outer, p), text
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_table_totals_match_enumeration(self, p):
         for n in range(5):
@@ -273,6 +324,13 @@ class TestCountAllSubspaces:
 
 
 class TestGaussianBinomial:
+    def test_rejects_a_q_below_two(self):
+        for bad in (1, 0, -1):
+            with pytest.raises(ValueError, match="at least 2"):
+                gaussian_binomial(3, 1, bad)
+        with pytest.raises(TypeError):
+            gaussian_binomial(3, 1, 2.0)
+
     def test_small_values(self):
         assert gaussian_binomial(5, 2, 2) == 155
         assert gaussian_binomial(4, 2, 3) == 130
