@@ -6,6 +6,13 @@ dimension.  Every subspace has a unique reduced echelon basis, so nothing
 is counted twice.  All arithmetic is exact modular arithmetic on Python
 ints.
 
+Only submodules of dimension at most half the weight are enumerated.
+The dual of M(lambda) is isomorphic to M(lambda), and taking the
+annihilator of a submodule in the dual swaps its sub type and quotient
+type, so g^lambda_{mu nu}(p) = g^lambda_{nu mu}(p) (Macdonald, Symmetric
+Functions and Hall Polynomials, 2nd ed., Ch. II); a table of submodules
+of dimension k > n - k is read off the one of dimension n - k.
+
 Vectors are rows throughout, and the operator acts by v -> vM with the
 Jordan matrix M, which moves every entry one place further into its
 block.  The leading index of a vector therefore rises under the action,
@@ -188,20 +195,30 @@ def _invariant_bases(
     module: JordanModule, k: int
 ) -> Iterator[tuple[tuple[Row, ...], tuple[int, ...]]]:
     """Reduced echelon bases, rows top to bottom, of the invariant
-    k-dimensional subspaces, each with its pivot columns."""
+    k-dimensional subspaces, each with its pivot columns.
 
-    def place(below: tuple[Row, ...], pivots: tuple[int, ...]) -> Iterator:
-        r = k - 1 - len(below)
-        if r < 0:
-            yield below, pivots
-            return
+    A depth-first walk over the partial bases, rows placed bottom-up.
+    The stack holds one iterator per placed row, over the admissible
+    rows above it.  A complete basis is yielded straight from the top
+    iterator, so a leaf passes through one generator, not one per row."""
+
+    def extensions(below: tuple[Row, ...], pivots: tuple[int, ...]) -> Iterator:
         # Row r's pivot leaves room for the r rows still to place above it.
+        r = k - 1 - len(below)
         lower = dict(zip(pivots, below))
         for c in range(r, pivots[0] if pivots else module.dim):
             for row in _rows_with_pivot(module, c, lower):
-                yield from place((row,) + below, (c,) + pivots)
+                yield (row,) + below, (c,) + pivots
 
-    return place((), ())
+    stack = [iter([((), ())])]
+    while stack:
+        for below, pivots in stack[-1]:
+            if len(below) < k:
+                stack.append(extensions(below, pivots))
+                break
+            yield below, pivots
+        else:
+            stack.pop()
 
 
 def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[Subspace]:
@@ -223,6 +240,15 @@ def _type_tables(
     """Tally of (quotient type, subspace type) over all invariant
     dimension-k subspaces U of the module of the given shape.
 
+    Only the tables with 2k <= n are enumerated.  The dual of M(shape) is
+    isomorphic to M(shape), and U -> U^perp, the annihilator of U in the
+    dual, takes the dimension-k submodules one to one onto the
+    dimension-(n - k) ones, with sub type and quotient type swapped
+    (Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed.,
+    Ch. II: the Hall algebra is commutative).  So for n >= k > n - k the
+    table is the (n - k) table with its two types swapped; a k above n
+    still gives the empty table of an empty walk.
+
     Both types come from ranks of the basis of U on sets of coordinates.
     T^i moves coordinate j to j + i when that stays in its block, so
     rank T^i U is the rank on the coordinates with room >= i before their
@@ -242,8 +268,11 @@ def _type_tables(
     and the entries of column c_s - 1 above them, for the pivots c_s
     that follow a free coordinate in their block, fix T|U and the
     quotient operator, and with them both types."""
+    n = shape.weight
+    if n >= k > n - k:
+        return {(sub, quo): c for (quo, sub), c in _type_tables(shape, n - k, p).items()}
     module = JordanModule(shape, p)
-    n, depth = module.dim, module.depth
+    depth = module.depth
     room = [size - 1 - i for size in shape.parts for i in range(size)]
     shifted = [[j for j in range(n) if room[j] >= i] for i in range(n + 1)]
     shallow = [[j for j in range(n) if depth[j] < i] for i in range(n + 1)]

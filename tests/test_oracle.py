@@ -1,5 +1,7 @@
 import subprocess
 import sys
+import time
+from itertools import islice
 
 import pytest
 
@@ -8,6 +10,7 @@ from hallzero.errors import CapExceededError
 from hallzero.oracle import (
     JordanModule,
     Subspace,
+    _invariant_bases,
     count_all_subspaces,
     enumerate_invariant_subspaces,
     gaussian_binomial,
@@ -211,6 +214,15 @@ class TestEnumeration:
         with pytest.raises(CapExceededError):
             list(enumerate_invariant_subspaces(JordanModule(P("(1^7)"), 5)))
 
+    def test_walk_is_lazy(self):
+        # Dimension 4 alone has about 7.6e7 leaves here; the first few
+        # must come without walking or storing the rest.
+        module = JordanModule(P("(1^8)"), 3)
+        start = time.perf_counter()
+        assert len(list(islice(enumerate_invariant_subspaces(module), 5))) == 5
+        assert len(list(islice(_invariant_bases(module, 4), 5))) == 5
+        assert time.perf_counter() - start < 1.0
+
     def test_cap_checked_at_call(self):
         # The call raises; nothing is iterated.
         with pytest.raises(CapExceededError):
@@ -257,12 +269,15 @@ class TestHallNumbers:
             hall_number(P("(1^7)"), P("(1^3)"), P("(1^4)"), 7)
 
     @pytest.mark.parametrize("p", [2, 3])
-    def test_symmetry_in_the_two_types(self, p):
+    def test_dual_half_matches_leaf_by_leaf(self, p):
+        # The tables with 2k > n are read off their duals; each must equal
+        # the tally of its own dimension built leaf by leaf.
         for n in range(6):
             for outer in partitions_of(n):
-                table = hall_number_table(outer, p)
-                for (quo, sub), count in table.items():
-                    assert table.get((sub, quo), 0) == count
+                joint = joint_table(outer, p)
+                for k in range(n // 2 + 1, n + 1):
+                    expected = {key: c for key, c in joint.items() if key[1].weight == k}
+                    assert hall_number_table(outer, p, dim=k) == expected, (outer, k)
 
     def test_table_dim_contract(self):
         assert hall_number_table(P("(2,1)"), 2, dim=4) == {}
