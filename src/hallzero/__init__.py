@@ -9,6 +9,7 @@ from .degeneration import (
     build_poset,
     leq_deg,
     load_poset,
+    moebius_row,
     partitions_of,
     poset_of,
     save_poset,
@@ -76,6 +77,7 @@ __all__ = [
     "jordan_type",
     "leq_deg",
     "load_poset",
+    "moebius_row",
     "n_stat",
     "parse_partition",
     "partitions_of",

@@ -6,9 +6,11 @@ corresponding classical Hall polynomial.  Products are computed in
 closed matrix form: expand each factor through its sparse Moebius row,
 add partitions pairwise, and push back up through the up-sets of the
 zeta matrix.  This is the unitriangular back-substitution equivalent of
-eliminating step by step along the degeneration order.  A single
-constant term needs no up-set: it compares partial sums of the parts
-with the target's, so it builds posets only at the factors' weights.
+eliminating step by step along the degeneration order.  The order is
+read only through `_leq_sums`, `moebius_row` and `up_set`.  A Moebius
+row is computed from the covers of its partition, so a single constant
+term, which compares partial sums of the parts with the target's
+instead of listing an up-set, builds no poset at all.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import accumulate
 from operator import index
 from typing import Iterable, Mapping
 
-from .degeneration import _leq_sums, poset_of
+from .degeneration import _leq_sums, moebius_row, up_set
 from .partitions import Partition
 
 
@@ -115,7 +117,7 @@ class H0Element:
 def f_map(alpha: Partition) -> H0Element:
     """Image of the module class M(alpha): the sum of u_b over everything
     alpha degenerates to, all coefficients 1."""
-    return H0Element({b: 1 for b in poset_of(alpha.weight).up_set(alpha)})
+    return H0Element({b: 1 for b in up_set(alpha)})
 
 
 def f_inverse(x: H0Element) -> H0Element:
@@ -125,7 +127,7 @@ def f_inverse(x: H0Element) -> H0Element:
     """
     out: dict[Partition, int] = {}
     for p, c in x.items():
-        for b, v in poset_of(p.weight).moebius_row(p):
+        for b, v in moebius_row(p):
             out[b] = out.get(b, 0) + c * v
     return H0Element(out)
 
@@ -134,9 +136,9 @@ def _fold(left: Partition, right: Partition) -> dict[Partition, int]:
     """u_left * u_right in the basis {f_map(s)}: expand both factors by
     their Moebius rows and add the partitions pairwise.  Returns the
     coefficients keyed by the partition s."""
-    mo_right = poset_of(right.weight).moebius_row(right)
+    mo_right = moebius_row(right)
     folded: dict[Partition, int] = {}
-    for a, ca in poset_of(left.weight).moebius_row(left):
+    for a, ca in moebius_row(left):
         for b, cb in mo_right:
             s = a + b
             folded[s] = folded.get(s, 0) + ca * cb
@@ -165,10 +167,9 @@ def h0_multiply(x: H0Element, y: H0Element) -> H0Element:
     out: dict[Partition, int] = {}
     for a, ca in x.items():
         for b, cb in y.items():
-            poset = poset_of(a.weight + b.weight)
             for s, g in _fold(a, b).items():
                 if not g:
                     continue
-                for t in poset.up_set(s):
+                for t in up_set(s):
                     out[t] = out.get(t, 0) + ca * cb * g
     return H0Element(out)

@@ -11,9 +11,10 @@ partial-sum vectors.
 
 For each weight n the poset of all partitions of n is built from n
 alone, with its zeta matrix as one int bitset per row (the same rows the
-disk cache writes in hex).  A row of the exact integer inverse, the
-Moebius matrix, is computed from the zeta rows the first time it is
-asked for.
+disk cache writes in hex).  A row of the Moebius function needs no
+poset: `moebius_row(lam)` is computed from the covers of lam alone, since
+the join of two partitions is the pointwise minimum of their partial
+sums (Brylawski, The lattice of integer partitions, 1973).
 """
 
 from __future__ import annotations
@@ -49,15 +50,19 @@ def leq_deg(lam: Partition, nu: Partition) -> bool:
     return _leq_sums(accumulate(lam.parts), accumulate(nu.parts))
 
 
+def _check_cap(n: int) -> None:
+    if n > DEFAULT_WEIGHT_CAP:
+        raise CapExceededError(
+            f"weight {n} exceeds the partition cap {DEFAULT_WEIGHT_CAP}"
+        )
+
+
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, in descending lexicographic order.  A weight
     above DEFAULT_WEIGHT_CAP raises CapExceededError."""
     if n < 0:
         raise ValueError("weight must be non-negative")
-    if n > DEFAULT_WEIGHT_CAP:
-        raise CapExceededError(
-            f"weight {n} exceeds the partition cap {DEFAULT_WEIGHT_CAP}"
-        )
+    _check_cap(n)
     out: list[Partition] = []
 
     def emit(remaining: int, largest: int, prefix: list[int]) -> None:
@@ -80,9 +85,9 @@ class DegPoset:
     `zeta` is an int bitset whose bit j is set when element i degenerates
     to element j, that is, when element i dominates element j.  Dominance
     implies lexicographic order (Macdonald, Ch. I §1), so the element order
-    extends the degeneration order: the zeta matrix is upper unitriangular
-    and each row of its exact inverse follows by forward substitution
-    along the up-set (see `moebius_row`).
+    extends the degeneration order and the zeta matrix is upper
+    unitriangular.  The poset serves up-sets and Hasse edges; Moebius rows
+    come from `moebius_row`, which needs no poset.
     A weight above DEFAULT_WEIGHT_CAP raises CapExceededError.
     """
 
@@ -91,7 +96,6 @@ class DegPoset:
         self.elements = tuple(partitions_of(n))
         self.zeta = _zeta_rows(self.elements, n)
         self._index = {p: i for i, p in enumerate(self.elements)}
-        self._moebius: dict[int, tuple[tuple[Partition, int], ...]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -109,53 +113,41 @@ class DegPoset:
         """Everything lam degenerates to, in element order (lam included)."""
         return _select(self.elements, self.zeta[self.index(lam)])
 
-    def moebius_row(self, lam: Partition) -> list[tuple[Partition, int]]:
-        """The nonzero values mu(lam, nu), as (nu, value) pairs in element
-        order.  Each row is computed on first request and kept."""
-        i = self.index(lam)
-        row = self._moebius.get(i)
-        if row is None:
-            # mu(i, i) = 1; for each j above i, in element order, mu(i, j)
-            # is minus the sum of the row's mu(i, k) (all k < j) with k <= j.
-            mu = {i: 1}
-            for j in _select(range(len(self)), self.zeta[i] & ~(1 << i)):
-                v = -sum(m for k, m in mu.items() if self.zeta[k] >> j & 1)
-                if v:
-                    mu[j] = v
-            row = tuple((self.elements[j], v) for j, v in mu.items())
-            self._moebius[i] = row
-        return list(row)
-
     def hasse_edges(self) -> list[tuple[Partition, Partition]]:
         """Covering pairs (lam, nu) with lam strictly below nu, grouped by
-        lam and each group in element order.
+        lam and each group in element order, by Brylawski's rule (see
+        `_covers`)."""
+        element = {p.parts: p for p in self.elements}
+        return [(lam, element[nu]) for lam in self.elements for nu in _covers(lam)]
 
-        This order is the dominance order reversed, whose covers
-        Brylawski (The lattice of integer partitions, 1973) describes: nu
-        covers lam exactly when nu is lam with one box moved from row i
-        down to a row j > i, where j = i + 1 or lam_i = lam_j + 2."""
-        index = {p.parts: i for i, p in enumerate(self.elements)}
-        edges = []
-        for lam in self.elements:
-            rows = lam.parts + (0,)
-            covers = []
-            # Only the last row of a run of equal parts can give up a box.
-            for i in range(len(lam)):
-                a = rows[i]
-                if a < 2 or rows[i + 1] == a:
-                    continue
-                # Past the rows equal to a - 1, j is the first row the box
-                # can land in: right below i, or one of value a - 2.
-                j = i + 1
-                while rows[j] == a - 1:
-                    j += 1
-                if j == i + 1 or rows[j] == a - 2:
-                    nu = list(rows)
-                    nu[i] -= 1
-                    nu[j] += 1
-                    covers.append(index[tuple(filter(None, nu))])
-            edges.extend((lam, self.elements[k]) for k in sorted(covers))
-        return edges
+
+def _covers(lam: Partition) -> list[tuple[int, ...]]:
+    """The parts of the partitions that cover lam, in element order.
+
+    This order is the dominance order reversed, whose covers Brylawski
+    (The lattice of integer partitions, 1973) describes: nu covers lam
+    exactly when nu is lam with one box moved from row i down to a row
+    j > i, where j = i + 1 or lam_i = lam_j + 2."""
+    rows = lam.parts + (0,)
+    covers = []
+    # Only the last row of a run of equal parts can give up a box.
+    for i in range(len(lam)):
+        a = rows[i]
+        if a < 2 or rows[i + 1] == a:
+            continue
+        # Past the rows equal to a - 1, j is the first row the box can
+        # land in: right below i, or one of value a - 2.
+        j = i + 1
+        while rows[j] == a - 1:
+            j += 1
+        if j == i + 1 or rows[j] == a - 2:
+            nu = list(rows)
+            nu[i] -= 1
+            nu[j] += 1
+            covers.append(tuple(filter(None, nu)))
+    # A box taken from a later row leaves the earlier parts whole, so that
+    # cover comes first in descending lexicographic order.
+    return covers[::-1]
 
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
@@ -212,6 +204,42 @@ def poset_of(n: int) -> DegPoset:
 def up_set(lam: Partition) -> list[Partition]:
     """Everything lam degenerates to, over the memoized poset of |lam|."""
     return poset_of(lam.weight).up_set(lam)
+
+
+@lru_cache(maxsize=None)
+def moebius_row(lam: Partition) -> tuple[tuple[Partition, int], ...]:
+    """The nonzero values mu(lam, nu), as (nu, value) pairs in element
+    order, computed from the covers of lam alone and kept.
+
+    The interval from lam up to nu is a lattice whose atoms are the
+    covers of lam below nu, so by Rota's crosscut theorem (On the
+    foundations of combinatorial theory I, 1964; Stanley, Enumerative
+    Combinatorics 1, §3.9) mu(lam, nu) is the sum of (-1)^|S| over the
+    sets S of covers of lam whose join is nu, and the join is the
+    pointwise minimum of the partial sums.  A weight above
+    DEFAULT_WEIGHT_CAP raises CapExceededError; at or below it lam has at
+    most six covers (distinct parts of at least 2), so 2^6 sets.
+    """
+    n = lam.weight
+    _check_cap(n)
+
+    def sums(parts: tuple[int, ...]) -> tuple[int, ...]:
+        # Padded to n entries, so partitions of different lengths compare.
+        return tuple(accumulate(parts + (0,) * (n - len(parts))))
+
+    # Each join, keyed by its partial sums, carries the sum of (-1)^|S|
+    # over the sets S of the covers added so far that reach it.
+    row = {sums(lam.parts): 1}
+    for cover in map(sums, _covers(lam)):
+        for s, v in list(row.items()):
+            join = tuple(map(min, s, cover))
+            row[join] = row.get(join, 0) - v
+    # Partial sums order like the parts, so descending is element order.
+    return tuple(
+        (Partition(tuple(b - a for a, b in zip((0,) + s, s))), v)
+        for s, v in sorted(row.items(), reverse=True)
+        if v
+    )
 
 
 def _cache_path(cache_dir: str, n: int) -> str:

@@ -8,7 +8,7 @@ budget.
 import time
 
 from hallzero.algebra import constant_term
-from hallzero.degeneration import leq_deg, partitions_of, poset_of
+from hallzero.degeneration import leq_deg, moebius_row, partitions_of, poset_of
 from hallzero.oracle import count_all_subspaces, gaussian_binomial, hall_number
 from hallzero.partitions import Partition, parse_partition
 from hallzero.verification import (
@@ -103,7 +103,7 @@ def test_criterion_6_duality_and_order_structure():
         z = [[poset.zeta[i] >> j & 1 for j in range(m)] for i in range(m)]
         mo = [[0] * m for _ in range(m)]
         for i, lam in enumerate(poset.elements):
-            for nu, v in poset.moebius_row(lam):
+            for nu, v in moebius_row(lam):
                 mo[i][poset.index(nu)] = v
         for i in range(m):
             if z[i][i] != 1:

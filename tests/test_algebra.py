@@ -11,7 +11,7 @@ from hallzero.algebra import (
     f_map,
     h0_multiply,
 )
-from hallzero.degeneration import DEFAULT_WEIGHT_CAP, leq_deg, partitions_of, up_set
+from hallzero.degeneration import DEFAULT_WEIGHT_CAP, leq_deg, partitions_of, poset_of, up_set
 from hallzero.partitions import ZERO, Partition, parse_partition
 
 P = parse_partition
@@ -157,6 +157,15 @@ class TestConstantTerm:
         assert constant_term(a, b, P("(4,1)")) == 1
         assert constant_term(a, b, P("(3,1^2)")) == -1
 
+    def test_builds_no_poset(self):
+        # Moebius rows come from the covers of each partition alone.
+        poset_of.cache_clear()
+        assert constant_term(P("(3,2,1)"), P("(2,2)"), P("(5,4,1)")) == 1
+        # (4,1^2) and (3^2) cover (4,2), and their join is (3,2,1).
+        expect = U(P("(4,2)")) - U(P("(4,1^2)")) - U(P("(3^2)")) + U(P("(3,2,1)"))
+        assert f_inverse(U(P("(4,2)"))) == expect
+        assert poset_of.cache_info().currsize == 0
+
     def test_weight_mismatch_is_zero(self):
         assert constant_term(P("(2)"), P("(1)"), P("(2)")) == 0
 
@@ -171,8 +180,9 @@ class TestConstantTerm:
         ],
     )
     def test_target_above_the_weight_cap(self, a, b):
-        # Total weights 31 to 50: only the factors' posets are built, so
-        # the weight cap applies to them and not to the target.
+        # Total weights 31 to 50: only the factors' Moebius rows check the
+        # weight cap; the target is compared by partial sums, not looked up
+        # in a poset, so the cap does not apply to it.
         a, b = P(a), P(b)
         n = a.weight + b.weight
         assert n > DEFAULT_WEIGHT_CAP
