@@ -23,13 +23,15 @@ and drops a partial row as soon as it breaks that condition.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
+from itertools import chain
+from operator import index, itemgetter
 from typing import Callable, Iterator
 
 from .errors import CapExceededError
-from .partitions import Partition
+from .partitions import ZERO, Partition
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 SMALL_PRIME_WEIGHT_CAP = 8  # p in {2, 3}
@@ -193,14 +195,18 @@ def _rows_with_pivot(
 
 def _invariant_bases(
     module: JordanModule, k: int
-) -> Iterator[tuple[tuple[Row, ...], tuple[int, ...]]]:
-    """Reduced echelon bases, rows top to bottom, of the invariant
-    k-dimensional subspaces, each with its pivot columns.
+) -> Iterator[tuple[tuple[Row, ...], tuple[int, ...], list[Row]]]:
+    """The reduced echelon bases, rows top to bottom, of the invariant
+    k-dimensional subspaces, k >= 1, in batches (below, pivots, tops):
+    the bases (top,) + below for each top in the non-empty list tops,
+    all with the pivot columns pivots.
 
-    A depth-first walk over the partial bases, rows placed bottom-up.
-    The stack holds one iterator per placed row, over the admissible
-    rows above it.  A complete basis is yielded straight from the top
-    iterator, so a leaf passes through one generator, not one per row."""
+    A depth-first walk over the partial bases, rows placed bottom-up,
+    that stops one row short of a leaf.  The stack holds one iterator
+    per placed row, over the admissible rows above it.  Once the k - 1
+    lower rows are placed, each pivot c left of theirs gives one batch,
+    the admissible top rows with pivot c, as `_rows_with_pivot` lists
+    them; so nothing is done per leaf here."""
 
     def extensions(below: tuple[Row, ...], pivots: tuple[int, ...]) -> Iterator:
         # Row r's pivot leaves room for the r rows still to place above it.
@@ -210,13 +216,19 @@ def _invariant_bases(
             for row in _rows_with_pivot(module, c, lower):
                 yield (row,) + below, (c,) + pivots
 
+    if k < 1:
+        return
     stack = [iter([((), ())])]
     while stack:
         for below, pivots in stack[-1]:
-            if len(below) < k:
+            if len(below) < k - 1:
                 stack.append(extensions(below, pivots))
                 break
-            yield below, pivots
+            lower = dict(zip(pivots, below))
+            for c in range(pivots[0] if pivots else module.dim):
+                tops = _rows_with_pivot(module, c, lower)
+                if tops:
+                    yield below, (c,) + pivots, tops
         else:
             stack.pop()
 
@@ -226,11 +238,13 @@ def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[Subspace]:
     A module above the weight cap of its prime raises CapExceededError
     here, before the stream is returned."""
     _check_cap(module.dim, module.p)
-    return (
-        Subspace(basis)
-        for k in range(module.dim + 1)
-        for basis, _ in _invariant_bases(module, k)
+    leaves = (
+        Subspace((top,) + below)
+        for k in range(1, module.dim + 1)
+        for below, _, tops in _invariant_bases(module, k)
+        for top in tops
     )
+    return chain([Subspace(())], leaves)
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +271,7 @@ def _type_tables(
     depth >= i: that is their count plus the rank on the coordinates of
     depth < i, minus k.
 
-    A leaf is classified once per key, and the key fixes both operators.
+    A basis is classified once per key, and the key fixes both operators.
     Let the basis rows b_r have pivots c_r.  The row b_r maps to the sum
     over s of b_r[c_s - 1] b_s, taken over the pivots with depth > 0;
     where c_s - 1 is a pivot c_t that coefficient is 1 if r = t and 0
@@ -267,8 +281,18 @@ def _type_tables(
     is minus b_s on the free coordinates.  So the pivots, the rows b_s
     and the entries of column c_s - 1 above them, for the pivots c_s
     that follow a free coordinate in their block, fix T|U and the
-    quotient operator, and with them both types."""
+    quotient operator, and with them both types.
+
+    The walk hands over a batch of bases that share the pivots and the
+    rows b_1, ..., b_(k-1), so all of the key but its top-row part is
+    fixed once per batch.  If b_0 is one of the rows b_s the key holds
+    it whole, and each top row is its own group.  Otherwise the key
+    reads b_0 only at the columns c_s - 1, and a Counter groups the top
+    rows by their entries there: the bases of a group share one key, so
+    one of them is classified and the group's size is added."""
     n = shape.weight
+    if k == 0:  # the zero submodule alone
+        return {(shape, ZERO): 1}
     if n >= k > n - k:
         return {(sub, quo): c for (quo, sub), c in _type_tables(shape, n - k, p).items()}
     module = JordanModule(shape, p)
@@ -280,33 +304,48 @@ def _type_tables(
     def rank_on(basis: tuple[Row, ...], cols: list[int]) -> int:
         return _rank([[v[j] for j in cols] for v in basis], p)
 
+    def classify(basis: tuple[Row, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return (
+            _type_from_ranks(
+                n - k, lambda i: n - len(shallow[i]) + rank_on(basis, shallow[i]) - k
+            ),
+            _type_from_ranks(k, lambda i: rank_on(basis, shifted[i])),
+        )
+
     # Tallied by the conjugates of the two types, which the ranks give.
     counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    # Per pivot tuple, the places of its key in a basis.
-    plans: dict[tuple[int, ...], tuple[list[tuple[int, int]], list[int]]] = {}
+    # Per pivot tuple: the places of the key in the rows below the top,
+    # those rows of the key, and the projection of a top row onto the
+    # columns of the key.  The top pivot column, 1 in every top row,
+    # keeps that projection a tuple when the key reads no other column.
+    plans: dict[
+        tuple[int, ...], tuple[list[tuple[int, int]], list[int], itemgetter]
+    ] = {}
     types: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for basis, pivots in _invariant_bases(module, k):
+    for below, pivots, tops in _invariant_bases(module, k):
         plan = plans.get(pivots)
         if plan is None:
             rows = [s for s, c in enumerate(pivots) if depth[c] and c - 1 not in pivots]
-            places = [(r, pivots[s] - 1) for s in rows for r in range(s)]
-            plan = plans[pivots] = places, rows
-        places, rows = plan
-        key = (
+            places = [(r - 1, pivots[s] - 1) for s in rows for r in range(1, s)]
+            if rows[:1] == [0]:
+                cols = range(n)
+            else:
+                cols = [pivots[0]] + [pivots[s] - 1 for s in rows]
+            plan = plans[pivots] = places, [s - 1 for s in rows if s], itemgetter(*cols)
+        places, rows, project = plan
+        lower = (
             pivots,
-            tuple([basis[r][j] for r, j in places]),
-            tuple([basis[s] for s in rows]),
+            tuple([below[r][j] for r, j in places]),
+            tuple([below[s] for s in rows]),
         )
-        conj = types.get(key)
-        if conj is None:
-            conj = types[key] = (
-                _type_from_ranks(
-                    n - k,
-                    lambda i: n - len(shallow[i]) + rank_on(basis, shallow[i]) - k,
-                ),
-                _type_from_ranks(k, lambda i: rank_on(basis, shifted[i])),
-            )
-        counts[conj] = counts.get(conj, 0) + 1
+        reps = None
+        for top, size in Counter(map(project, tops)).items():
+            conj = types.get((lower, top))
+            if conj is None:
+                if reps is None:
+                    reps = dict(zip(map(project, tops), tops))
+                conj = types[lower, top] = classify((reps[top],) + below)
+            counts[conj] = counts.get(conj, 0) + size
     return {
         (Partition(quo).conjugate(), Partition(sub).conjugate()): count
         for (quo, sub), count in counts.items()
@@ -329,10 +368,14 @@ def hall_number_table(
     outer: Partition, p: int, dim: int | None = None
 ) -> dict[tuple[Partition, Partition], int]:
     """All (quotient type, sub type) counts for M(outer) at once, or only
-    those of submodules of dimension `dim`.  A `dim` above the weight
-    gives an empty table; a negative one raises ValueError."""
-    if dim is not None and dim < 0:
-        raise ValueError(f"negative submodule dimension {dim}")
+    those of submodules of dimension `dim`.  `dim` goes through
+    operator.index, so a float or a string raises TypeError.  A `dim`
+    above the weight gives an empty table; a negative one raises
+    ValueError."""
+    if dim is not None:
+        dim = index(dim)
+        if dim < 0:
+            raise ValueError(f"negative submodule dimension {dim}")
     _check_cap(outer.weight, p)
     dims = range(outer.weight + 1) if dim is None else (dim,)
     merged: dict[tuple[Partition, Partition], int] = {}

@@ -106,6 +106,17 @@ def joint_table(outer, p):
     return table
 
 
+def assert_dim_tables_match_joint(p, dims):
+    """hall_number_table(outer, p, dim=k) equals the dimension-k part of
+    joint_table, for every outer of weight at most 5 and every k in dims(n)."""
+    for n in range(6):
+        for outer in partitions_of(n):
+            joint = joint_table(outer, p)
+            for k in dims(n):
+                expected = {key: c for key, c in joint.items() if key[1].weight == k}
+                assert hall_number_table(outer, p, dim=k) == expected, (outer, k)
+
+
 class TestPrimeField:
     """Every entry point that takes a prime accepts the same ones."""
 
@@ -220,7 +231,13 @@ class TestEnumeration:
         module = JordanModule(P("(1^8)"), 3)
         start = time.perf_counter()
         assert len(list(islice(enumerate_invariant_subspaces(module), 5))) == 5
-        assert len(list(islice(_invariant_bases(module, 4), 5))) == 5
+        # The walk yields batches: the dimension-4 bases that share their
+        # three lower rows and their pivots, one per admissible top row.
+        seen = [
+            (len(below), len(pivots), bool(tops))
+            for below, pivots, tops in islice(_invariant_bases(module, 4), 5)
+        ]
+        assert seen == [(3, 4, True)] * 5
         assert time.perf_counter() - start < 1.0
 
     def test_cap_checked_at_call(self):
@@ -269,20 +286,28 @@ class TestHallNumbers:
             hall_number(P("(1^7)"), P("(1^3)"), P("(1^4)"), 7)
 
     @pytest.mark.parametrize("p", [2, 3])
+    def test_walked_half_matches_leaf_by_leaf(self, p):
+        # The tables with 2k <= n are walked in batches and tallied by
+        # groups of top rows; each must equal the tally built leaf by leaf.
+        assert_dim_tables_match_joint(p, lambda n: range(n // 2 + 1))
+
+    @pytest.mark.parametrize("p", [2, 3])
     def test_dual_half_matches_leaf_by_leaf(self, p):
         # The tables with 2k > n are read off their duals; each must equal
         # the tally of its own dimension built leaf by leaf.
-        for n in range(6):
-            for outer in partitions_of(n):
-                joint = joint_table(outer, p)
-                for k in range(n // 2 + 1, n + 1):
-                    expected = {key: c for key, c in joint.items() if key[1].weight == k}
-                    assert hall_number_table(outer, p, dim=k) == expected, (outer, k)
+        assert_dim_tables_match_joint(p, lambda n: range(n // 2 + 1, n + 1))
 
     def test_table_dim_contract(self):
         assert hall_number_table(P("(2,1)"), 2, dim=4) == {}
         with pytest.raises(ValueError):
             hall_number_table(P("(2,1)"), 2, dim=-1)
+        # dim goes through operator.index before any walk.
+        for bad in ("1", 1.0):
+            with pytest.raises(TypeError):
+                hall_number_table(P("(2,1)"), 2, dim=bad)
+        assert hall_number_table(P("(2,1)"), 2, dim=True) == hall_number_table(
+            P("(2,1)"), 2, dim=1
+        )
 
     @pytest.mark.parametrize("p,max_weight", [(2, 6), (3, 6), (5, 4)])
     def test_marginals_match_birkhoff(self, p, max_weight):
