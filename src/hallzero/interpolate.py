@@ -2,7 +2,8 @@
 
 The polynomial is fitted by Newton interpolation in integer arithmetic
 through oracle counts at the smallest primes, where an inexact division
-means no integer polynomial fits, then validated at one held-out prime.
+means no integer polynomial fits, then validated at one held-out prime
+(at two when the degree budget forces the zero polynomial).
 Floating point is never used here.
 """
 
@@ -112,7 +113,7 @@ def interpolate_hall_poly(
     Fits through oracle counts at the first budget+1 usable primes and
     validates at the next one.  A negative degree budget forces the zero
     polynomial, so it is clamped at -1: no prime is fitted and the first
-    one checks that the count vanishes.  Raises InfeasibleError when
+    two check that the count vanishes.  Raises InfeasibleError when
     fewer than budget+2 primes admit the weight (none does above every
     cap), InterpolationError on any inconsistency.
     """
@@ -130,12 +131,12 @@ def interpolate_hall_poly(
     xs = primes[: budget + 1]
     ys = [hall_number(outer, quotient, sub, p) for p in xs]
     poly = IntPoly(tuple(_newton_integer(xs, ys)))
-    check = primes[budget + 1]
-    expected = hall_number(outer, quotient, sub, check)
-    got = poly(check)
-    if got != expected:
-        raise InterpolationError(
-            f"validation failed at p={check}: polynomial gives {got}, "
-            f"enumeration gives {expected}"
-        )
+    for check in primes[budget + 1 : max(budget, 0) + 2]:
+        expected = hall_number(outer, quotient, sub, check)
+        got = poly(check)
+        if got != expected:
+            raise InterpolationError(
+                f"validation failed at p={check}: polynomial gives {got}, "
+                f"enumeration gives {expected}"
+            )
     return poly

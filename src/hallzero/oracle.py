@@ -201,36 +201,28 @@ def _invariant_bases(
     the bases (top,) + below for each top in the non-empty list tops,
     all with the pivot columns pivots.
 
-    A depth-first walk over the partial bases, rows placed bottom-up,
-    that stops one row short of a leaf.  The stack holds one iterator
-    per placed row, over the admissible rows above it.  Once the k - 1
-    lower rows are placed, each pivot c left of theirs gives one batch,
-    the admissible top rows with pivot c, as `_rows_with_pivot` lists
-    them; so nothing is done per leaf here."""
+    A depth-first walk over the partial bases, rows placed bottom-up.
+    Each pivot c left of the rows placed so far gives the admissible
+    rows with pivot c, as `_rows_with_pivot` lists them; the walk goes
+    on from each of them, until only the top row is left to place, and
+    then hands the whole list over as one batch.  So nothing is done per
+    leaf here."""
 
-    def extensions(below: tuple[Row, ...], pivots: tuple[int, ...]) -> Iterator:
+    def walk(below: tuple[Row, ...], pivots: tuple[int, ...]) -> Iterator:
         # Row r's pivot leaves room for the r rows still to place above it.
         r = k - 1 - len(below)
         lower = dict(zip(pivots, below))
         for c in range(r, pivots[0] if pivots else module.dim):
-            for row in _rows_with_pivot(module, c, lower):
-                yield (row,) + below, (c,) + pivots
+            rows = _rows_with_pivot(module, c, lower)
+            if r:
+                for row in rows:
+                    yield from walk((row,) + below, (c,) + pivots)
+            elif rows:
+                yield below, (c,) + pivots, rows
 
     if k < 1:
         return
-    stack = [iter([((), ())])]
-    while stack:
-        for below, pivots in stack[-1]:
-            if len(below) < k - 1:
-                stack.append(extensions(below, pivots))
-                break
-            lower = dict(zip(pivots, below))
-            for c in range(pivots[0] if pivots else module.dim):
-                tops = _rows_with_pivot(module, c, lower)
-                if tops:
-                    yield below, (c,) + pivots, tops
-        else:
-            stack.pop()
+    yield from walk((), ())
 
 
 def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[Subspace]:
@@ -284,11 +276,15 @@ def _type_tables(
     quotient operator, and with them both types.
 
     The walk hands over a batch of bases that share the pivots and the
-    rows b_1, ..., b_(k-1), so all of the key but its top-row part is
-    fixed once per batch.  If b_0 is one of the rows b_s the key holds
-    it whole, and each top row is its own group.  Otherwise the key
-    reads b_0 only at the columns c_s - 1, and a Counter groups the top
-    rows by their entries there: the bases of a group share one key, so
+    rows b_1, ..., b_(k-1), and every row is read for the key by one
+    rule.  A row whose pivot follows a free coordinate in its block is
+    read whole; any other row b_r is read at its pivot and at the
+    columns c_s - 1 of the rows read whole.  Beyond the entries named
+    above, this reads only the pivot entries, which are 1, and the
+    entries b_r[c_s - 1] with s < r, which lie left of the pivot c_r
+    and so are 0.  The reads of b_1, ..., b_(k-1), with the pivots, are
+    the key but its top-row part, once per batch, and a Counter groups
+    the top rows by their reads: the bases of a group share one key, so
     one of them is classified and the group's size is added."""
     n = shape.weight
     if k == 0:  # the zero submodule alone
@@ -314,30 +310,13 @@ def _type_tables(
 
     # Tallied by the conjugates of the two types, which the ranks give.
     counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    # Per pivot tuple: the places of the key in the rows below the top,
-    # those rows of the key, and the projection of a top row onto the
-    # columns of the key.  The top pivot column, 1 in every top row,
-    # keeps that projection a tuple when the key reads no other column.
-    plans: dict[
-        tuple[int, ...], tuple[list[tuple[int, int]], list[int], itemgetter]
-    ] = {}
     types: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for below, pivots, tops in _invariant_bases(module, k):
-        plan = plans.get(pivots)
-        if plan is None:
-            rows = [s for s, c in enumerate(pivots) if depth[c] and c - 1 not in pivots]
-            places = [(r - 1, pivots[s] - 1) for s in rows for r in range(1, s)]
-            if rows[:1] == [0]:
-                cols = range(n)
-            else:
-                cols = [pivots[0]] + [pivots[s] - 1 for s in rows]
-            plan = plans[pivots] = places, [s - 1 for s in rows if s], itemgetter(*cols)
-        places, rows, project = plan
-        lower = (
-            pivots,
-            tuple([below[r][j] for r, j in places]),
-            tuple([below[s] for s in rows]),
-        )
+        # The columns c_s - 1 before the pivots of the rows read whole.
+        cols = [c - 1 for c in pivots if depth[c] and c - 1 not in pivots]
+        reads = [tuple if c - 1 in cols else itemgetter(c, *cols) for c in pivots]
+        lower = (pivots, tuple([read(row) for read, row in zip(reads[1:], below)]))
+        project = reads[0]
         reps = None
         for top, size in Counter(map(project, tops)).items():
             conj = types.get((lower, top))

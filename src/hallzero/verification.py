@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .algebra import constant_term, f_map, h0_multiply
 from .degeneration import leq_deg, partitions_of
 from .errors import InfeasibleError
-from .interpolate import interpolate_hall_poly, n_stat, usable_primes
+from .interpolate import interpolate_hall_poly
 from .monoid import check_extension_bound
 from .oracle import hall_number
 from .partitions import Partition
@@ -86,9 +86,10 @@ def check_extension_extremality(max_weight: int) -> CheckResult:
 
 
 def check_interpolation_agreement(max_weight: int) -> CheckResult:
-    """Wherever interpolation is feasible the polynomial matches the
-    enumeration at every sampled prime and its constant term matches the
-    matrix algorithm."""
+    """Wherever interpolation is feasible the constant term of the
+    polynomial, which `interpolate_hall_poly` has fitted through the
+    enumeration and validated at a held-out prime, matches the matrix
+    algorithm."""
     name = "interpolation_agreement"
     feasible = skipped = 0
     for w in range(max_weight + 1):
@@ -104,14 +105,6 @@ def check_interpolation_agreement(max_weight: int) -> CheckResult:
                     return CheckResult(
                         name, False, f"constant mismatch at ({quo}, {sub}, {outer})"
                     )
-                budget = max(0, n_stat(outer) - n_stat(quo) - n_stat(sub))
-                for p in usable_primes(w)[: budget + 2]:
-                    if poly(p) != hall_number(outer, quo, sub, p):
-                        return CheckResult(
-                            name,
-                            False,
-                            f"value mismatch at p={p} for ({quo}, {sub}, {outer})",
-                        )
     return CheckResult(
         name, True, f"{feasible} feasible triples checked, {skipped} infeasible"
     )

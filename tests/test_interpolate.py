@@ -132,6 +132,15 @@ class TestInterpolation:
         with pytest.raises(InterpolationError, match="p=2"):
             interpolate_hall_poly(P("(1^3)"), P("(2)"), P("(5)"))
 
+    def test_negative_budget_validated_at_two_primes(self, monkeypatch):
+        # The zero polynomial passes at p = 2; the count at p = 3 refutes it.
+        counts = {2: 0, 3: 1}
+        monkeypatch.setattr(
+            interpolate, "hall_number", lambda outer, quo, sub, p: counts[p]
+        )
+        with pytest.raises(InterpolationError, match="p=3"):
+            interpolate_hall_poly(P("(1^3)"), P("(2)"), P("(5)"))
+
 
 class TestConstantTermAgreement:
     def test_known_values(self):

@@ -195,6 +195,13 @@ class TestEnumeration:
         subs = list(enumerate_invariant_subspaces(JordanModule(ZERO, 2)))
         assert subs == [Subspace(())]
 
+    @pytest.mark.parametrize("shape", ["()", "(2,1)"])
+    def test_walk_outside_dimensions_is_empty(self, shape):
+        # The walk places k rows; k = 0 and k above the dimension give none.
+        module = JordanModule(P(shape), 3)
+        assert list(_invariant_bases(module, 0)) == []
+        assert list(_invariant_bases(module, module.dim + 1)) == []
+
     def test_zero_operator_takes_all(self):
         subs = list(enumerate_invariant_subspaces(JordanModule(P("(1^2)"), 2)))
         assert len(subs) == 5
