@@ -2,9 +2,10 @@
 
 The algebra has one basis symbol u_p per partition p, and the structure
 constant on u_target in u_left * u_right is the constant term of the
-corresponding classical Hall polynomial.  Products are computed in
-closed matrix form: expand each factor through its sparse Moebius row,
-add partitions pairwise, and push back up through the up-sets of the
+corresponding classical Hall polynomial.  Products are taken in the
+basis {f_map(s)}, where f_map(a) * f_map(b) = f_map(a + b): take both
+factors to f-coordinates by their sparse Moebius rows, add partitions
+pairwise once, and push each sum back up through its up-set of the
 zeta matrix.  This is the unitriangular back-substitution equivalent of
 eliminating step by step along the degeneration order.  The order is
 read only through `_leq_sums`, `moebius_row` and `up_set`.  A Moebius
@@ -21,6 +22,8 @@ from typing import Iterable, Mapping
 
 from .degeneration import _leq_sums, moebius_row, up_set
 from .partitions import Partition
+
+Term = tuple[Partition, int]
 
 
 def canonical_key(p: Partition) -> tuple[int, tuple[int, ...]]:
@@ -121,10 +124,8 @@ def f_map(alpha: Partition) -> H0Element:
 
 
 def f_inverse(x: H0Element) -> H0Element:
-    """Coordinates of x in the embedded module basis {f_map(b)}.
-
-    Inverts f_map by Moebius inversion, one term at a time.
-    """
+    """Coordinates of x in the embedded module basis {f_map(b)}: f_map
+    inverted by Moebius inversion, one term at a time."""
     out: dict[Partition, int] = {}
     for p, c in x.items():
         for b, v in moebius_row(p):
@@ -132,14 +133,14 @@ def f_inverse(x: H0Element) -> H0Element:
     return H0Element(out)
 
 
-def _fold(left: Partition, right: Partition) -> dict[Partition, int]:
-    """u_left * u_right in the basis {f_map(s)}: expand both factors by
-    their Moebius rows and add the partitions pairwise.  Returns the
-    coefficients keyed by the partition s."""
-    mo_right = moebius_row(right)
+def _fold(left: Iterable[Term], right: Iterable[Term]) -> dict[Partition, int]:
+    """The product of two elements given by their (partition, coefficient)
+    coordinates in the basis {f_map(s)}: the partitions add pairwise.
+    Returns the product's coordinates keyed by the partition s."""
+    right = list(right)
     folded: dict[Partition, int] = {}
-    for a, ca in moebius_row(left):
-        for b, cb in mo_right:
+    for a, ca in left:
+        for b, cb in right:
             s = a + b
             folded[s] = folded.get(s, 0) + ca * cb
     return folded
@@ -157,19 +158,17 @@ def constant_term(left: Partition, right: Partition, target: Partition) -> int:
     sums = tuple(accumulate(target.parts))
     return sum(
         g
-        for s, g in _fold(left, right).items()
+        for s, g in _fold(moebius_row(left), moebius_row(right)).items()
         if _leq_sums(accumulate(s.parts), sums)
     )
 
 
 def h0_multiply(x: H0Element, y: H0Element) -> H0Element:
-    """Bilinear product of two algebra elements."""
+    """Bilinear product of two algebra elements, taken in the basis
+    {f_map(s)}: one fold of both factors, one up-set per nonzero term."""
     out: dict[Partition, int] = {}
-    for a, ca in x.items():
-        for b, cb in y.items():
-            for s, g in _fold(a, b).items():
-                if not g:
-                    continue
-                for t in up_set(s):
-                    out[t] = out.get(t, 0) + ca * cb * g
+    for s, g in _fold(f_inverse(x).items(), f_inverse(y).items()).items():
+        if g:
+            for t in up_set(s):
+                out[t] = out.get(t, 0) + g
     return H0Element(out)

@@ -36,6 +36,7 @@ from .partitions import ZERO, Partition
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 SMALL_PRIME_WEIGHT_CAP = 8  # p in {2, 3}
 LARGE_PRIME_WEIGHT_CAP = 6  # p >= 5
+MAX_LEAVES = 2**24  # bases one table's walk may reach
 
 Row = tuple[int, ...]
 
@@ -285,7 +286,10 @@ def _type_tables(
     and so are 0.  The reads of b_1, ..., b_(k-1), with the pivots, are
     the key but its top-row part, once per batch, and a Counter groups
     the top rows by their reads: the bases of a group share one key, so
-    one of them is classified and the group's size is added."""
+    one of them is classified and the group's size is added.
+
+    A walk that reaches more than MAX_LEAVES bases raises
+    CapExceededError, and no table is kept for it."""
     n = shape.weight
     if k == 0:  # the zero submodule alone
         return {(shape, ZERO): 1}
@@ -311,7 +315,14 @@ def _type_tables(
     # Tallied by the conjugates of the two types, which the ranks give.
     counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     types: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    leaves = 0
     for below, pivots, tops in _invariant_bases(module, k):
+        leaves += len(tops)
+        if leaves > MAX_LEAVES:
+            raise CapExceededError(
+                f"the walk of the dimension-{k} submodules of M{shape} over "
+                f"F_{p} passes the leaf budget of {MAX_LEAVES} bases"
+            )
         # The columns c_s - 1 before the pivots of the rows read whole.
         cols = [c - 1 for c in pivots if depth[c] and c - 1 not in pivots]
         reads = [tuple if c - 1 in cols else itemgetter(c, *cols) for c in pivots]

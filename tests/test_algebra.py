@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hallzero.algebra
 from hallzero.algebra import (
     H0Element,
     canonical_key,
@@ -216,6 +217,20 @@ class TestMultiply:
             U(P("(2,1)")) + U(P("(1^3)")), U(P("(1^2)")) + U(P("(2)"))
         )
         assert lhs == f_map(P("(4,1)"))
+
+    def test_one_up_set_per_product_term(self, monkeypatch):
+        # The factors are folded once in the basis {f_map(s)}: the product
+        # f_map(2,1) * f_map(2) is the single term f_map(4,1).
+        x, y, want = f_map(P("(2,1)")), f_map(P("(2)")), f_map(P("(4,1)"))
+        reads = []
+
+        def counting_up_set(lam):
+            reads.append(lam)
+            return up_set(lam)
+
+        monkeypatch.setattr(hallzero.algebra, "up_set", counting_up_set)
+        assert h0_multiply(x, y) == want
+        assert reads == [P("(4,1)")]
 
     def test_associative_on_basis(self):
         parts = partitions_up_to(4)

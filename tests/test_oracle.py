@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 
+from hallzero import oracle
 from hallzero.degeneration import partitions_of
 from hallzero.errors import CapExceededError
 from hallzero.oracle import (
@@ -291,6 +292,20 @@ class TestHallNumbers:
             hall_number(P("(1^9)"), P("(1^4)"), P("(1^5)"), 2)
         with pytest.raises(CapExceededError):
             hall_number(P("(1^7)"), P("(1^3)"), P("(1^4)"), 7)
+
+    def test_leaf_budget(self, monkeypatch):
+        # Each table's walk is bounded by the bases it reaches, not only by
+        # the weight; a walk past the budget leaves no table behind.
+        oracle._type_tables.cache_clear()
+        monkeypatch.setattr(oracle, "MAX_LEAVES", 100)
+        try:
+            with pytest.raises(CapExceededError, match="leaf budget of 100"):
+                hall_number(P("(1^4)"), P("(1^2)"), P("(1^2)"), 3)  # 130 bases
+            assert hall_number(P("(1^4)"), P("(1^3)"), P("(1)"), 3) == 40
+            monkeypatch.undo()
+            assert hall_number(P("(1^4)"), P("(1^2)"), P("(1^2)"), 3) == 130
+        finally:
+            oracle._type_tables.cache_clear()
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_walked_half_matches_leaf_by_leaf(self, p):
