@@ -37,7 +37,6 @@ from .oracle import (
     gaussian_binomial,
     hall_number,
     hall_number_table,
-    jordan_type,
     weight_cap,
 )
 from .partitions import ZERO, Partition, PartitionParseError, parse_partition
@@ -74,7 +73,6 @@ __all__ = [
     "hall_number",
     "hall_number_table",
     "interpolate_hall_poly",
-    "jordan_type",
     "leq_deg",
     "load_poset",
     "moebius_row",

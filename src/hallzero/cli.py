@@ -221,7 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-weight",
         type=int,
         default=5,
-        help="bound for all checks (default 5; above 5 can take very long)",
+        help="bound for all checks (default 5; 6 to 8 take about 100 to 130 s; "
+        "above 8 exits 3)",
     )
 
     add("example", _cmd_example, "reproduce the worked constant-term example")

@@ -91,10 +91,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, v in enumerate(row) if v) for row in self.basis)
-
 
 def _rank(rows: list[list[int]], p: int) -> int:
     """Rank over F_p of the given integer rows."""
@@ -130,32 +126,6 @@ def _type_from_ranks(dim: int, rank_of_power: Callable[[int], int]) -> tuple[int
         conj.append(prev - rank)
         prev, i = rank, i + 1
     return tuple(conj)
-
-
-def _matmul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
-
-
-def jordan_type(matrix, p: int) -> Partition:
-    """Jordan type of a nilpotent square matrix over F_p.  Entries go
-    through operator.index, so a float raises TypeError instead of being
-    truncated."""
-    weight_cap(p)  # rejects an unsupported prime
-    try:
-        rows = [list(row) for row in matrix]
-    except TypeError:
-        raise ValueError("expected a square matrix") from None
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("expected a square matrix")
-    rows = [[index(v) % p for v in row] for row in rows]
-    powers = [rows]
-    while len(powers) < n:
-        powers.append(_matmul(powers[-1], rows, p))
-    if any(any(row) for row in powers[-1]):
-        raise ValueError("operator is not nilpotent")
-    conj = _type_from_ranks(n, lambda i: _rank(powers[i - 1], p))
-    return Partition(conj).conjugate()
 
 
 def _rows_with_pivot(
@@ -377,7 +347,9 @@ def hall_number_table(
 
 def count_all_subspaces(n: int, p: int) -> int:
     """Total number of subspaces of F_p^n, by running the enumeration on
-    the zero operator, under which every subspace is invariant."""
+    the zero operator, under which every subspace is invariant.  n goes
+    through operator.index, so a float raises TypeError."""
+    n = index(n)
     if n < 0:
         raise ValueError(f"negative dimension {n}")
     module = JordanModule(Partition((1,) * n), p)
@@ -386,10 +358,10 @@ def count_all_subspaces(n: int, p: int) -> int:
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-space over a q-element
-    field, by the exact product formula.  q goes through operator.index,
-    and a q below 2 raises ValueError, since no field has fewer than two
-    elements."""
-    q = index(q)
+    field, by the exact product formula.  n, k and q go through
+    operator.index, so a float raises TypeError, and a q below 2 raises
+    ValueError, since no field has fewer than two elements."""
+    n, k, q = index(n), index(k), index(q)
     if q < 2:
         raise ValueError(f"a field has at least 2 elements, not {q}")
     if k < 0 or k > n:
