@@ -31,7 +31,6 @@ from .monoid import (
 from .oracle import (
     SUPPORTED_PRIMES,
     JordanModule,
-    Subspace,
     count_all_subspaces,
     enumerate_invariant_subspaces,
     gaussian_binomial,
@@ -55,7 +54,6 @@ __all__ = [
     "Partition",
     "PartitionParseError",
     "SUPPORTED_PRIMES",
-    "Subspace",
     "ZERO",
     "build_poset",
     "canonical_key",

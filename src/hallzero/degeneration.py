@@ -24,7 +24,7 @@ import os
 import tempfile
 from functools import lru_cache, reduce
 from itertools import accumulate, compress
-from operator import and_, ge
+from operator import and_, ge, index
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError
@@ -58,8 +58,11 @@ def _check_cap(n: int) -> None:
 
 
 def partitions_of(n: int) -> list[Partition]:
-    """All partitions of n, in descending lexicographic order.  A weight
-    above DEFAULT_WEIGHT_CAP raises CapExceededError."""
+    """All partitions of n, in descending lexicographic order.  n goes
+    through operator.index, so a float or a string raises TypeError; a
+    negative n raises ValueError and one above DEFAULT_WEIGHT_CAP raises
+    CapExceededError."""
+    n = index(n)
     if n < 0:
         raise ValueError("weight must be non-negative")
     _check_cap(n)
@@ -88,11 +91,11 @@ class DegPoset:
     extends the degeneration order and the zeta matrix is upper
     unitriangular.  The poset serves up-sets and Hasse edges; Moebius rows
     come from `moebius_row`, which needs no poset.
-    A weight above DEFAULT_WEIGHT_CAP raises CapExceededError.
+    The weight n is checked as in `partitions_of`.
     """
 
     def __init__(self, n: int):
-        self.n = n
+        self.n = n = index(n)  # operator.index, not the method below
         self.elements = tuple(partitions_of(n))
         self.zeta = _zeta_rows(self.elements, n)
         self._index = {p: i for i, p in enumerate(self.elements)}

@@ -24,7 +24,6 @@ and drops a partial row as soon as it breaks that condition.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import index, itemgetter
@@ -36,7 +35,7 @@ from .partitions import ZERO, Partition
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 SMALL_PRIME_WEIGHT_CAP = 8  # p in {2, 3}
 LARGE_PRIME_WEIGHT_CAP = 6  # p >= 5
-MAX_LEAVES = 2**24  # bases one table's walk may reach
+MAX_LEAVES = 2**24  # bases one walk (one shape, k and p) may yield
 
 Row = tuple[int, ...]
 
@@ -79,17 +78,6 @@ class JordanModule:
 
     def __repr__(self) -> str:
         return f"JordanModule(shape={self.shape}, p={self.p})"
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace, stored as its unique reduced row echelon basis."""
-
-    basis: tuple[Row, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 def _rank(rows: list[list[int]], p: int) -> int:
@@ -177,9 +165,14 @@ def _invariant_bases(
     rows with pivot c, as `_rows_with_pivot` lists them; the walk goes
     on from each of them, until only the top row is left to place, and
     then hands the whole list over as one batch.  So nothing is done per
-    leaf here."""
+    leaf here.
+
+    The walk counts the bases it yields, and raises CapExceededError
+    before the batch that would take it past MAX_LEAVES."""
+    leaves = 0
 
     def walk(below: tuple[Row, ...], pivots: tuple[int, ...]) -> Iterator:
+        nonlocal leaves
         # Row r's pivot leaves room for the r rows still to place above it.
         r = k - 1 - len(below)
         lower = dict(zip(pivots, below))
@@ -189,6 +182,12 @@ def _invariant_bases(
                 for row in rows:
                     yield from walk((row,) + below, (c,) + pivots)
             elif rows:
+                leaves += len(rows)
+                if leaves > MAX_LEAVES:
+                    raise CapExceededError(
+                        f"the walk of the dimension-{k} submodules of M{module.shape} "
+                        f"over F_{module.p} passes the leaf budget of {MAX_LEAVES} bases"
+                    )
                 yield below, (c,) + pivots, rows
 
     if k < 1:
@@ -196,18 +195,20 @@ def _invariant_bases(
     yield from walk((), ())
 
 
-def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[Subspace]:
-    """Stream every invariant subspace exactly once (order unspecified).
-    A module above the weight cap of its prime raises CapExceededError
-    here, before the stream is returned."""
+def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[tuple[Row, ...]]:
+    """Stream the reduced echelon basis, rows top to bottom, of every
+    invariant subspace exactly once (order unspecified); the zero subspace
+    is ().  A module above the weight cap of its prime raises
+    CapExceededError here, before the stream is returned; a dimension
+    whose walk passes the leaf budget raises it when the stream gets there."""
     _check_cap(module.dim, module.p)
     leaves = (
-        Subspace((top,) + below)
+        (top,) + below
         for k in range(1, module.dim + 1)
         for below, _, tops in _invariant_bases(module, k)
         for top in tops
     )
-    return chain([Subspace(())], leaves)
+    return chain([()], leaves)
 
 
 @lru_cache(maxsize=None)
@@ -258,7 +259,7 @@ def _type_tables(
     the top rows by their reads: the bases of a group share one key, so
     one of them is classified and the group's size is added.
 
-    A walk that reaches more than MAX_LEAVES bases raises
+    A walk past the leaf budget of `_invariant_bases` raises
     CapExceededError, and no table is kept for it."""
     n = shape.weight
     if k == 0:  # the zero submodule alone
@@ -285,14 +286,7 @@ def _type_tables(
     # Tallied by the conjugates of the two types, which the ranks give.
     counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     types: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    leaves = 0
     for below, pivots, tops in _invariant_bases(module, k):
-        leaves += len(tops)
-        if leaves > MAX_LEAVES:
-            raise CapExceededError(
-                f"the walk of the dimension-{k} submodules of M{shape} over "
-                f"F_{p} passes the leaf budget of {MAX_LEAVES} bases"
-            )
         # The columns c_s - 1 before the pivots of the rows read whole.
         cols = [c - 1 for c in pivots if depth[c] and c - 1 not in pivots]
         reads = [tuple if c - 1 in cols else itemgetter(c, *cols) for c in pivots]
@@ -338,11 +332,8 @@ def hall_number_table(
             raise ValueError(f"negative submodule dimension {dim}")
     _check_cap(outer.weight, p)
     dims = range(outer.weight + 1) if dim is None else (dim,)
-    merged: dict[tuple[Partition, Partition], int] = {}
-    for k in dims:
-        for key, value in _type_tables(outer, k, p).items():
-            merged[key] = merged.get(key, 0) + value
-    return merged
+    # A key's sub type fixes its dimension, so the tables share no key.
+    return {key: c for k in dims for key, c in _type_tables(outer, k, p).items()}
 
 
 def count_all_subspaces(n: int, p: int) -> int:

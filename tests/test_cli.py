@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from hallzero import cli
+from hallzero import cli, verification
 from hallzero.algebra import H0Element
 from hallzero.cli import main
 from hallzero.degeneration import DegPoset
@@ -256,6 +256,32 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--max-weight", "-1", "--json")
         assert code == 2 and out == ""
         assert "--max-weight" in err
+
+    def test_failure_exits_1_and_names_the_triple(self, capsys, monkeypatch):
+        # A constant term wrong at one triple fails the two checks that
+        # read it, each naming the triple, and the whole run.
+        real = verification.constant_term
+        wrong = tuple(map(parse_partition, ("(1)", "(1)", "(1^2)")))
+        monkeypatch.setattr(
+            verification, "constant_term", lambda *t: real(*t) + (t == wrong)
+        )
+        code, out, _ = run(capsys, "verify", "--max-weight", "2")
+        assert code == 1
+        lines = out.splitlines()
+        assert "FAIL ones_constant_terms: fails at ((1), (1), (1^2)): 2" in lines
+        assert (
+            "FAIL interpolation_agreement: constant mismatch at ((1), (1), (1^2))"
+            in lines
+        )
+        assert out.count("PASS") == 2 and lines[-1] == "verification FAILED"
+        code, payload = run_json(capsys, "verify", "--max-weight", "2")
+        assert code == 1 and payload["ok"] is False
+        assert [c["passed"] for c in payload["checks"]] == [True, False, True, False]
+
+    def test_above_the_p2_cap_exits_3(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-weight", "9")
+        assert (code, out) == (3, "")
+        assert "exceeds the enumeration cap 8 for p=2" in err
 
 
 class TestExample:

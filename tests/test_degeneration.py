@@ -94,6 +94,19 @@ class TestEnumeration:
             partitions_of(31)
         assert len(partitions_of(30)) == 5604
 
+    def test_weight_is_a_non_negative_integer(self):
+        # The weight goes through operator.index before the sign and cap
+        # checks: 31.0 is not a weight above the cap, nor "3" a weight.
+        for make in (partitions_of, DegPoset):
+            for bad in (3.0, 31.0, "3"):
+                with pytest.raises(TypeError):
+                    make(bad)
+            with pytest.raises(ValueError, match="non-negative"):
+                make(-1)
+        poset = DegPoset(True)
+        assert type(poset.n) is int and poset.n == 1
+        assert partitions_of(True) == partitions_of(1)
+
     def test_descending_lexicographic(self):
         for n in range(9):
             parts = [p.parts for p in partitions_of(n)]

@@ -10,8 +10,8 @@ from hallzero.degeneration import partitions_of
 from hallzero.errors import CapExceededError
 from hallzero.oracle import (
     JordanModule,
-    Subspace,
     _invariant_bases,
+    _type_from_ranks,
     count_all_subspaces,
     enumerate_invariant_subspaces,
     gaussian_binomial,
@@ -90,7 +90,7 @@ def joint_table(outer, p):
     powers = [mat_pow(module.matrix, i, p) for i in range(n + 1)]
     table = {}
     for sub in enumerate_invariant_subspaces(module):
-        basis = [list(row) for row in sub.basis]
+        basis = [list(row) for row in sub]
         images = [
             [
                 [sum(v[t] * m[t][j] for t in range(n)) % p for j in range(n)]
@@ -100,7 +100,7 @@ def joint_table(outer, p):
         ]
         sub_type = jordan_type_from_ranks([rank_gf(rows, p) for rows in images])
         quo_type = jordan_type_from_ranks(
-            [rank_gf(m + basis, p) - sub.dim for m in powers]
+            [rank_gf(m + basis, p) - len(sub) for m in powers]
         )
         table[quo_type, sub_type] = table.get((quo_type, sub_type), 0) + 1
     return table
@@ -159,7 +159,7 @@ class TestEnumeration:
 
     def test_zero_module(self):
         subs = list(enumerate_invariant_subspaces(JordanModule(ZERO, 2)))
-        assert subs == [Subspace(())]
+        assert subs == [()]
 
     @pytest.mark.parametrize("shape", ["()", "(2,1)"])
     def test_walk_outside_dimensions_is_empty(self, shape):
@@ -180,8 +180,8 @@ class TestEnumeration:
         for shape in partitions_of(4):
             module = JordanModule(shape, 3)
             for sub in enumerate_invariant_subspaces(module):
-                rows = [list(r) for r in sub.basis]
-                assert rank_gf(rows, 3) == sub.dim
+                rows = [list(r) for r in sub]
+                assert rank_gf(rows, 3) == len(sub)
                 pivots = [next(j for j, v in enumerate(r) if v) for r in rows]
                 assert list(pivots) == sorted(pivots)
                 for row in rows:
@@ -190,7 +190,7 @@ class TestEnumeration:
                         sum(row[i] * module.matrix[i][j] for i in range(len(row))) % 3
                         for j in range(len(row))
                     ]
-                    assert rank_gf(rows + [image], 3) == sub.dim
+                    assert rank_gf(rows + [image], 3) == len(sub)
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
@@ -217,6 +217,35 @@ class TestEnumeration:
         # The call raises; nothing is iterated.
         with pytest.raises(CapExceededError):
             enumerate_invariant_subspaces(JordanModule(P("(1^7)"), 5))
+
+    def test_leaf_budget_bounds_every_walk(self, monkeypatch):
+        # The budget is kept by the walk itself, so the stream and
+        # count_all_subspaces stop where hall_number does: in dimension 2,
+        # whose 130 bases pass a budget of 100.
+        monkeypatch.setattr(oracle, "MAX_LEAVES", 100)
+        budget = "dimension-2 .* leaf budget of 100 bases"
+        with pytest.raises(CapExceededError, match=budget):
+            list(enumerate_invariant_subspaces(JordanModule(P("(1^4)"), 3)))
+        with pytest.raises(CapExceededError, match=budget):
+            count_all_subspaces(4, 3)
+        monkeypatch.undo()
+        assert count_all_subspaces(4, 3) == 1 + 40 + 130 + 40 + 1
+
+
+class TestTypeFromRanks:
+    @pytest.mark.parametrize("rank", [3, 2])
+    def test_not_nilpotent_is_rejected(self, rank):
+        # Ranks that never fall (3 on a 3-space), or stop falling (3, 2, 2),
+        # raise after a few calls instead of looping.
+        calls = []
+
+        def rank_of_power(i):
+            calls.append(i)
+            return rank
+
+        with pytest.raises(ValueError, match="not nilpotent"):
+            _type_from_ranks(3, rank_of_power)
+        assert len(calls) <= 3
 
 
 class TestHallNumbers:
