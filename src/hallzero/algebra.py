@@ -4,23 +4,23 @@ The algebra has one basis symbol u_p per partition p, and the structure
 constant on u_target in u_left * u_right is the constant term of the
 corresponding classical Hall polynomial.  Products are taken in the
 basis {f_map(s)}, where f_map(a) * f_map(b) = f_map(a + b): take both
-factors to f-coordinates by their sparse Moebius rows, add partitions
-pairwise once, and push each sum back up through its up-set of the
-zeta matrix.  This is the unitriangular back-substitution equivalent of
-eliminating step by step along the degeneration order.  The order is
-read only through `_leq_sums`, `moebius_row` and `up_set`.  A Moebius
-row is computed from the covers of its partition, so a single constant
-term, which compares partial sums of the parts with the target's
-instead of listing an up-set, builds no poset at all.
+factors to f-coordinates by their sparse Moebius rows, add parts tuples
+pairwise once, and add each sum's coefficient at the set bits of its
+zeta row, into one coefficient list per weight.  This is the
+unitriangular back-substitution along the degeneration order, which is
+read only through `_leq_sums`, `moebius_row` and the zeta rows.  A
+Moebius row is computed from the covers of its partition, so a single
+constant term, which compares partial sums of the parts with the
+target's instead of listing an up-set, builds no poset at all.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import index
+from operator import add, index
 from typing import Iterable, Mapping
 
-from .degeneration import _leq_sums, moebius_row, up_set
+from .degeneration import _leq_sums, _select, moebius_row, poset_of, up_set
 from .partitions import Partition
 
 Term = tuple[Partition, int]
@@ -133,15 +133,16 @@ def f_inverse(x: H0Element) -> H0Element:
     return H0Element(out)
 
 
-def _fold(left: Iterable[Term], right: Iterable[Term]) -> dict[Partition, int]:
+def _fold(left: Iterable[Term], right: Iterable[Term]) -> dict[tuple[int, ...], int]:
     """The product of two elements given by their (partition, coefficient)
-    coordinates in the basis {f_map(s)}: the partitions add pairwise.
-    Returns the product's coordinates keyed by the partition s."""
-    right = list(right)
-    folded: dict[Partition, int] = {}
+    coordinates in the basis {f_map(s)}, keyed by the parts tuple of s:
+    zero-padded parts add pairwise, and a sum of partitions needs no check."""
+    right = [(b.parts, cb) for b, cb in right]
+    folded: dict[tuple[int, ...], int] = {}
     for a, ca in left:
+        a = a.parts
         for b, cb in right:
-            s = a + b
+            s = tuple(map(add, a, b)) + a[len(b) :] + b[len(a) :]
             folded[s] = folded.get(s, 0) + ca * cb
     return folded
 
@@ -159,16 +160,25 @@ def constant_term(left: Partition, right: Partition, target: Partition) -> int:
     return sum(
         g
         for s, g in _fold(moebius_row(left), moebius_row(right)).items()
-        if _leq_sums(accumulate(s.parts), sums)
+        if _leq_sums(accumulate(s), sums)
     )
 
 
 def h0_multiply(x: H0Element, y: H0Element) -> H0Element:
     """Bilinear product of two algebra elements, taken in the basis
-    {f_map(s)}: one fold of both factors, one up-set per nonzero term."""
-    out: dict[Partition, int] = {}
+    {f_map(s)}: one fold of both factors, then each nonzero folded term
+    adds its coefficient at the set bits of its zeta row, into one
+    coefficient list per weight, indexed like that poset's elements."""
+    acc: dict = {}
     for s, g in _fold(f_inverse(x).items(), f_inverse(y).items()).items():
         if g:
-            for t in up_set(s):
-                out[t] = out.get(t, 0) + g
-    return H0Element(out)
+            n = sum(s)
+            if n not in acc:
+                poset = poset_of(n)
+                acc[n] = poset, [0] * len(poset)
+            poset, coeffs = acc[n]
+            for j in _select(range(len(coeffs)), poset.zeta[poset._index[s]]):
+                coeffs[j] += g
+    return H0Element(
+        (p, c) for poset, cs in acc.values() for p, c in zip(poset.elements, cs) if c
+    )

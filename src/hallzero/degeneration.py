@@ -98,7 +98,7 @@ class DegPoset:
         self.n = n = index(n)  # operator.index, not the method below
         self.elements = tuple(partitions_of(n))
         self.zeta = _zeta_rows(self.elements, n)
-        self._index = {p: i for i, p in enumerate(self.elements)}
+        self._index = {p.parts: i for i, p in enumerate(self.elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -108,7 +108,7 @@ class DegPoset:
 
     def index(self, p: Partition) -> int:
         try:
-            return self._index[p]
+            return self._index[p.parts]
         except KeyError:
             raise ValueError(f"{p} is not a partition of {self.n}") from None
 
@@ -120,8 +120,8 @@ class DegPoset:
         """Covering pairs (lam, nu) with lam strictly below nu, grouped by
         lam and each group in element order, by Brylawski's rule (see
         `_covers`)."""
-        element = {p.parts: p for p in self.elements}
-        return [(lam, element[nu]) for lam in self.elements for nu in _covers(lam)]
+        elements, at = self.elements, self._index
+        return [(lam, elements[at[nu]]) for lam in elements for nu in _covers(lam)]
 
 
 def _covers(lam: Partition) -> list[tuple[int, ...]]:

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import hallzero.algebra
 from hallzero.algebra import (
     H0Element,
     canonical_key,
@@ -22,6 +21,13 @@ U = H0Element.basis
 
 def partitions_up_to(n):
     return [p for w in range(n + 1) for p in partitions_of(w)]
+
+
+def basis_pairs(n):
+    """Every pair of partitions of total weight n."""
+    return [
+        (a, b) for w in range(n + 1) for a in partitions_of(w) for b in partitions_of(n - w)
+    ]
 
 
 # A basis factor of weight at most 6.
@@ -208,9 +214,17 @@ class TestMultiply:
 
     def test_unit(self):
         one = U(ZERO)
-        x = U(P("(2,1)")) + 3 * U(P("(1)"))
-        assert h0_multiply(one, x) == x
-        assert h0_multiply(x, one) == x
+        # The last two span several weights; the last is the product of
+        # two such elements whose folded coefficients cancel.
+        mixed = U(P("(2)")) - U(P("(1,1)")) - U(P("(1)"))
+        for x in (
+            U(P("(2,1)")) + 3 * U(P("(1)")),
+            mixed,
+            h0_multiply(mixed, U(P("(1)")) + one),
+        ):
+            assert h0_multiply(one, x) == x
+            assert h0_multiply(x, one) == x
+            assert all(coeff for _, coeff in h0_multiply(x, one).items())
 
     def test_grouped_factors_reproduce_embedding(self):
         lhs = h0_multiply(
@@ -220,17 +234,19 @@ class TestMultiply:
 
     def test_one_up_set_per_product_term(self, monkeypatch):
         # The factors are folded once in the basis {f_map(s)}: the product
-        # f_map(2,1) * f_map(2) is the single term f_map(4,1).
+        # f_map(2,1) * f_map(2) is the single term f_map(4,1), so it reads
+        # one zeta row of the weight-5 poset, the up-set of (4,1).
         x, y, want = f_map(P("(2,1)")), f_map(P("(2)")), f_map(P("(4,1)"))
-        reads = []
+        poset, reads = poset_of(5), []
 
-        def counting_up_set(lam):
-            reads.append(lam)
-            return up_set(lam)
+        class CountingRows(tuple):
+            def __getitem__(self, i):
+                reads.append(i)
+                return tuple.__getitem__(self, i)
 
-        monkeypatch.setattr(hallzero.algebra, "up_set", counting_up_set)
+        monkeypatch.setattr(poset, "zeta", CountingRows(poset.zeta))
         assert h0_multiply(x, y) == want
-        assert reads == [P("(4,1)")]
+        assert reads == [poset.index(P("(4,1)"))]
 
     def test_associative_on_basis(self):
         parts = partitions_up_to(4)
@@ -256,11 +272,40 @@ class TestMultiply:
         a, b, c = U(P("(2)")), U(P("(1,1)")), U(P("(1)"))
         assert h0_multiply(a + b, c) == h0_multiply(a, c) + h0_multiply(b, c)
         assert h0_multiply(c, a + b) == h0_multiply(c, a) + h0_multiply(c, b)
+        # Terms of several weights; the folded coefficient on (2) is
+        # 1 from (2) + () and -1 from (1) + (1), so it cancels.
+        x, y = a - b - c, c + U(ZERO)
+        for product in (h0_multiply(x, y), h0_multiply(y, x)):
+            expect = H0Element()
+            for s, cs in x.items():
+                for t, ct in y.items():
+                    expect += (cs * ct) * h0_multiply(U(s), U(t))
+            assert product == expect
+            assert all(coeff for _, coeff in product.items())
 
-    def test_product_at_the_weight_cap(self):
-        a, b, g = P("(8,4,3)"), P("(6,5,4)"), P("(14,9,7)")
-        product = h0_multiply(U(a), U(b))
-        assert a + b == g and product.coefficient(g) == 1
-        assert product.support() <= set(up_set(g))
-        for t, coeff in product.items():
-            assert coeff == constant_term(a, b, t)
+    @pytest.mark.parametrize(
+        "pairs",
+        [pytest.param(basis_pairs(n), id=f"weight-{n}") for n in range(9)]
+        + [
+            pytest.param([(P(a), P(b))], id=f"{a}-{b}")
+            for a, b in [
+                ("(6,4)", "(5,3,2)"),
+                ("(4^2,2,1)", "(3^3,2,1^2)"),
+                ("(7,2^2,1^2)", "(9,3)"),
+                ("(1^14)", "(2^6,1^2)"),
+                ("(8,4,3)", "(6,5,4)"),
+                ("(5,4,3,2,1)", "(5,4,3,2,1)"),
+            ]
+        ],
+    )
+    def test_product_at_the_weight_cap(self, pairs):
+        # Every basis pair of total weight at most 8, and single pairs of
+        # weight 20 to 30: the product's coefficient on each t in the
+        # up-set of a + b is the constant term, none is dropped or added,
+        # and the generic extension a + b carries 1.
+        for a, b in pairs:
+            product = h0_multiply(U(a), U(b))
+            assert product.coefficient(a + b) == 1
+            assert product.support() <= set(up_set(a + b))
+            for t in up_set(a + b):
+                assert product.coefficient(t) == constant_term(a, b, t)
