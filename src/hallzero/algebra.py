@@ -125,9 +125,9 @@ def f_map(alpha: Partition) -> H0Element:
 
 def f_inverse(x: H0Element) -> H0Element:
     """Coordinates of x in the embedded module basis {f_map(b)}: f_map
-    inverted by Moebius inversion, one term at a time."""
+    inverted by Moebius inversion, one term at a time, in no order."""
     out: dict[Partition, int] = {}
-    for p, c in x.items():
+    for p, c in x._terms.items():
         for b, v in moebius_row(p):
             out[b] = out.get(b, 0) + c * v
     return H0Element(out)
@@ -170,7 +170,8 @@ def h0_multiply(x: H0Element, y: H0Element) -> H0Element:
     adds its coefficient at the set bits of its zeta row, into one
     coefficient list per weight, indexed like that poset's elements."""
     acc: dict = {}
-    for s, g in _fold(f_inverse(x).items(), f_inverse(y).items()).items():
+    # The fold adds terms in no particular order, so it takes them unsorted.
+    for s, g in _fold(f_inverse(x)._terms.items(), f_inverse(y)._terms.items()).items():
         if g:
             n = sum(s)
             if n not in acc:

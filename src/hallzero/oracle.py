@@ -23,10 +23,9 @@ and drops a partial row as soon as it breaks that condition.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import chain
-from operator import index, itemgetter
+from operator import index
 from typing import Callable, Iterator
 
 from .errors import CapExceededError
@@ -80,25 +79,27 @@ class JordanModule:
         return f"JordanModule(shape={self.shape}, p={self.p})"
 
 
-def _rank(rows: list[list[int]], p: int) -> int:
-    """Rank over F_p of the given integer rows."""
-    rows = [row for row in rows if any(row)]
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        c = next(j for j, v in enumerate(pivot) if v)
-        scale = pow(pivot[c], p - 2, p)
-        rank += 1
-        reduced = []
-        for row in rows:
-            if row[c]:
-                f = row[c] * scale
-                row = [(a - f * b) % p for a, b in zip(row, pivot)]
-                if not any(row):
-                    continue
-            reduced.append(row)
-        rows = reduced
-    return rank
+def _reduce(row: list[int], echelon: list[tuple[int, list[int]]], p: int) -> list[int]:
+    """The row cleared at the echelon's pivot columns by its rows: zero
+    exactly when the row lies in their span."""
+    for c, e in echelon:
+        if row[c]:
+            f = row[c]
+            row = [(a - f * b) % p for a, b in zip(row, e)]
+    return row
+
+
+def _echelon(rows: list[list[int]], p: int) -> list[tuple[int, list[int]]]:
+    """An echelon basis over F_p of the rows' span: (pivot column, row)
+    pairs, each row 1 at its pivot and 0 at the pivots before it."""
+    out: list[tuple[int, list[int]]] = []
+    for row in rows:
+        row = _reduce(row, out, p)
+        c = next((j for j, v in enumerate(row) if v), None)
+        if c is not None:
+            scale = pow(row[c], p - 2, p)
+            out.append((c, [v * scale % p for v in row]))
+    return out
 
 
 def _type_from_ranks(dim: int, rank_of_power: Callable[[int], int]) -> tuple[int, ...]:
@@ -118,57 +119,85 @@ def _type_from_ranks(dim: int, rank_of_power: Callable[[int], int]) -> tuple[int
 
 def _rows_with_pivot(
     module: JordanModule, c: int, lower: dict[int, Row]
-) -> list[Row]:
-    """Every reduced echelon row with pivot c whose image lies in the span
+) -> tuple[Row, list[Row]] | None:
+    """The reduced echelon rows with pivot c whose image lies in the span
     of the reduced echelon rows `lower` (pivot column -> row), all of
-    whose pivots lie right of c.
+    whose pivots lie right of c: the affine space base + span(gens), or
+    None when there are none.
 
-    With w = vM, the residual w[t] - sum of w[q] * lower[q][t] is zero at
-    the lower pivots t and otherwise depends only on v[:t]: on v[t - 1]
-    with coefficient 1 when depth[t] > 0, and through the coefficients
-    w[q] = v[q - 1] of the lower pivots q < t.  The row is filled left to
-    right, and the residual at t + 1 fixes or checks the entry at t.
-    """
+    Such a row v is 1 at c and 0 left of c and at the lower pivots.  Its
+    image w = vM is the sum of w[q] lower[q], where w[q] is v[q - 1] if
+    depth[q] > 0 and 0 otherwise: 1 at q = c + 1, and an unknown where
+    v[q - 1] is open.  At a column t > c + 1 not in lower, w[t] is v[t - 1]
+    if depth[t] > 0, which fixes an open v[t - 1]; where depth[t] = 0 or
+    t - 1 is a lower pivot, w[t] must be 0.  Those checks are taken left
+    to right, each solved for an unknown by a row operation or, with
+    none left in it, tested; the first failed test ends the call.  The
+    open entries at the end of a block are free."""
     n, p, depth = module.dim, module.p, module.depth
-    fixed = dict.fromkeys(lower, 0)
-    fixed[c] = 1
-    prefixes: list[Row] = [(0,) * c]
-    for j in range(c, n):
-        t = j + 1
-        options = (fixed[j],) if j in fixed else range(p)
-        if t == n or t in lower:
-            prefixes = [v + (x,) for v in prefixes for x in options]
+    if c + 1 < n and depth[c + 1] and c + 1 not in lower:
+        return None  # w[c + 1] = v[c] = 1, but no lower row reaches column c + 1
+    # w = rows[0] + the sum of u_x rows[x] over the unknowns left.
+    rows = [lower[c + 1] if c + 1 in lower and depth[c + 1] else (0,) * n]
+    rows += [v for q, v in lower.items() if depth[q] and q - 1 != c and q - 1 not in lower]
+    for t in range(c + 2, n):
+        if t in lower or (depth[t] and t - 1 not in lower):
             continue
-        terms = [(q - 1, row[t]) for q, row in lower.items() if row[t] and depth[q]]
-        extended = []
-        for v in prefixes:
-            rest = sum(v[x] * coef for x, coef in terms) % p
-            if depth[t]:
-                if rest in options:
-                    extended.append(v + (rest,))
-            elif rest == 0:
-                extended.extend(v + (x,) for x in options)
-        prefixes = extended
-    return prefixes
+        x = next((x for x in range(1, len(rows)) if rows[x][t]), 0)
+        if x:
+            pivot = rows.pop(x)
+            scale = pow(pivot[t], p - 2, p)
+            rows = [[(a - r[t] * scale * b) % p for a, b in zip(r, pivot)] for r in rows]
+        elif rows[0][t]:
+            return None
+    # v[j] = w[j + 1] at the open entries that are not at the end of a block.
+    right = range(c + 1, n)
+    shift = {j for j in right if j + 1 < n and depth[j + 1] and j not in lower}
+    tops = [
+        (0,) * c + (int(not x),) + tuple([w[j + 1] if j in shift else 0 for j in right])
+        for x, w in enumerate(rows)
+    ]
+    ends = [j for j in right if j not in lower and j not in shift]
+    return tops[0], tops[1:] + [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in ends]
+
+
+def _span(base: Row, gens: list[Row], p: int) -> list[Row]:
+    """Every point of base + span(gens) over F_p, for gens as
+    `_rows_with_pivot` gives them: each is 1 at a column where the base
+    and the other gens are 0, so a unit row just sets that entry."""
+    points, entries = [base], [(x,) for x in range(p)]
+    for g in gens:
+        if sum(g) == 1:
+            j = g.index(1)
+            halves = [(v[:j], v[j + 1 :]) for v in points]
+            points = [head + x + tail for head, tail in halves for x in entries]
+        else:
+            points = [
+                tuple([(a + x * b) % p for a, b in zip(v, g)])
+                for v in points
+                for x in range(p)
+            ]
+    return points
 
 
 def _invariant_bases(
     module: JordanModule, k: int
-) -> Iterator[tuple[tuple[Row, ...], tuple[int, ...], list[Row]]]:
+) -> Iterator[tuple[tuple[Row, ...], tuple[int, ...], tuple[Row, list[Row]]]]:
     """The reduced echelon bases, rows top to bottom, of the invariant
-    k-dimensional subspaces, k >= 1, in batches (below, pivots, tops):
-    the bases (top,) + below for each top in the non-empty list tops,
+    k-dimensional subspaces, k >= 1, in batches (below, pivots, (base,
+    gens)): the bases (top,) + below for each top in base + span(gens),
     all with the pivot columns pivots.
 
     A depth-first walk over the partial bases, rows placed bottom-up.
     Each pivot c left of the rows placed so far gives the admissible
-    rows with pivot c, as `_rows_with_pivot` lists them; the walk goes
-    on from each of them, until only the top row is left to place, and
-    then hands the whole list over as one batch.  So nothing is done per
-    leaf here.
+    rows with pivot c, as `_rows_with_pivot` solves for them; the walk
+    goes on from each of them, until only the top row is left to place,
+    and then hands the affine space of top rows over as one batch.  So
+    nothing is done per leaf here.
 
     The walk counts the bases it yields, and raises CapExceededError
     before the batch that would take it past MAX_LEAVES."""
+    p = module.p
     leaves = 0
 
     def walk(below: tuple[Row, ...], pivots: tuple[int, ...]) -> Iterator:
@@ -177,18 +206,18 @@ def _invariant_bases(
         r = k - 1 - len(below)
         lower = dict(zip(pivots, below))
         for c in range(r, pivots[0] if pivots else module.dim):
-            rows = _rows_with_pivot(module, c, lower)
-            if r:
-                for row in rows:
+            space = _rows_with_pivot(module, c, lower)
+            if space and r:
+                for row in _span(*space, p):
                     yield from walk((row,) + below, (c,) + pivots)
-            elif rows:
-                leaves += len(rows)
+            elif space:
+                leaves += p ** len(space[1])
                 if leaves > MAX_LEAVES:
                     raise CapExceededError(
                         f"the walk of the dimension-{k} submodules of M{module.shape} "
-                        f"over F_{module.p} passes the leaf budget of {MAX_LEAVES} bases"
+                        f"over F_{p} passes the leaf budget of {MAX_LEAVES} bases"
                     )
-                yield below, (c,) + pivots, rows
+                yield below, (c,) + pivots, space
 
     if k < 1:
         return
@@ -205,8 +234,8 @@ def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[tuple[Row, .
     leaves = (
         (top,) + below
         for k in range(1, module.dim + 1)
-        for below, _, tops in _invariant_bases(module, k)
-        for top in tops
+        for below, _, space in _invariant_bases(module, k)
+        for top in _span(*space, module.p)
     )
     return chain([()], leaves)
 
@@ -227,37 +256,24 @@ def _type_tables(
     table is the (n - k) table with its two types swapped; a k above n
     still gives the empty table of an empty walk.
 
-    Both types come from ranks of the basis of U on sets of coordinates.
-    T^i moves coordinate j to j + i when that stays in its block, so
-    rank T^i U is the rank on the coordinates with room >= i before their
-    block ends.  The operator induced on the quotient has rank
-    dim(im T^i + U) - k, and im T^i is spanned by the coordinates of
-    depth >= i: that is their count plus the rank on the coordinates of
-    depth < i, minus k.
+    A batch of the walk is an invariant (k - 1)-subspace W, spanned by
+    the rows below, and the affine space A of its top rows.  The types of
+    U = W + <top> follow from the ranks of the powers of T on U and on
+    V/U, and so from W and two flags of the top row: h = max{h : top in
+    S_h = T^h V + W}, as dim(T^j V + U) = dim(T^j V + W) + [j > h], and
+    i = min{i : top in K_i = W + ker T^i}, as rank T^j U = rank T^j W +
+    [j < i].  T^h V is spanned by the coordinates of depth >= h, and T^i
+    is one to one on those of room >= i and zero on the rest; so top
+    lies in S_h, or K_i, when it agrees with a vector of W on the
+    coordinates of depth < h, or of room >= i.  W's echelon bases on
+    these sets, made once per W, give its ranks and reduce A's rows.
 
-    A basis is classified once per key, and the key fixes both operators.
-    Let the basis rows b_r have pivots c_r.  The row b_r maps to the sum
-    over s of b_r[c_s - 1] b_s, taken over the pivots with depth > 0;
-    where c_s - 1 is a pivot c_t that coefficient is 1 if r = t and 0
-    otherwise, and it is 0 for r >= s.  On V/U, spanned by the free
-    coordinates e_j, e_j maps to e_(j+1), or to 0 at the end of a block;
-    where j + 1 is a pivot c_s, e_(j+1) is e_(j+1) - b_s modulo U, which
-    is minus b_s on the free coordinates.  So the pivots, the rows b_s
-    and the entries of column c_s - 1 above them, for the pivots c_s
-    that follow a free coordinate in their block, fix T|U and the
-    quotient operator, and with them both types.
-
-    The walk hands over a batch of bases that share the pivots and the
-    rows b_1, ..., b_(k-1), and every row is read for the key by one
-    rule.  A row whose pivot follows a free coordinate in its block is
-    read whole; any other row b_r is read at its pivot and at the
-    columns c_s - 1 of the rows read whole.  Beyond the entries named
-    above, this reads only the pivot entries, which are 1, and the
-    entries b_r[c_s - 1] with s < r, which lie left of the pivot c_r
-    and so are 0.  The reads of b_1, ..., b_(k-1), with the pivots, are
-    the key but its top-row part, once per batch, and a Counter groups
-    the top rows by their reads: the bases of a group share one key, so
-    one of them is classified and the group's size is added.
+    A top row with pivot c has h <= depth[c] and i > room[c], and lies
+    in K_i once T^(i-1) W = 0; only those flag pairs are counted.  The
+    top rows in S_h and K_i number 0 or p^(d - r), r the rank of A's d
+    generators reduced there, and a flag pair's count is an
+    inclusion-exclusion of four such numbers.  The counts are tallied by
+    W's ranks and the flags, and each key becomes its two types once.
 
     A walk past the leaf budget of `_invariant_bases` raises
     CapExceededError, and no table is kept for it."""
@@ -267,43 +283,57 @@ def _type_tables(
     if n >= k > n - k:
         return {(sub, quo): c for (quo, sub), c in _type_tables(shape, n - k, p).items()}
     module = JordanModule(shape, p)
-    depth = module.depth
+    depth, longest = module.depth, shape.parts[0]
     room = [size - 1 - i for size in shape.parts for i in range(size)]
-    shifted = [[j for j in range(n) if room[j] >= i] for i in range(n + 1)]
-    shallow = [[j for j in range(n) if depth[j] < i] for i in range(n + 1)]
+    shallow = [[x for x in range(n) if depth[x] < j] for j in range(longest + 1)]
+    shifted = [[x for x in range(n) if room[x] >= j] for j in range(longest + 1)]
+    counts: dict[tuple, int] = {}
+    last = None
+    for below, pivots, (base, gens) in _invariant_bases(module, k):
+        if below is not last:
+            last = below
+            # At j = 0 and longest a set is empty or whole, where below is W's.
+            whole = list(zip(pivots[1:], below))
+            on_shallow, on_shifted = (
+                [_echelon([[v[x] for x in s] for v in below], p) for s in sets[1:-1]]
+                for sets in (shallow, shifted)
+            )
+            on_shallow, on_shifted = [[], *on_shallow, whole], [whole, *on_shifted, []]
+            # dim(T^j V + W) - k and rank T^j W, for j = 0, ..., longest
+            ranks = (
+                tuple(n - k - len(s) + len(e) for s, e in zip(shallow, on_shallow)),
+                tuple(map(len, on_shifted)),
+            )
+            nil = ranks[1].index(0)  # T^nil W = 0
 
-    def rank_on(basis: tuple[Row, ...], cols: list[int]) -> int:
-        return _rank([[v[j] for j in cols] for v in basis], p)
+        def size(h: int, i: int) -> int:
+            """The number of top rows in S_h and K_i."""
+            checks = [(shallow[h], on_shallow[h])] if h else []
+            checks += [(shifted[i], on_shifted[i])] if i <= nil else []
+            if not checks:
+                return p ** len(gens)
+            res = [
+                [e for cols, ech in checks for e in _reduce([v[x] for x in cols], ech, p)]
+                for v in (base, *gens)
+            ]
+            ech = _echelon(res[1:], p)
+            return 0 if any(_reduce(res[0], ech, p)) else p ** (len(gens) - len(ech))
 
-    def classify(basis: tuple[Row, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (
-            _type_from_ranks(
-                n - k, lambda i: n - len(shallow[i]) + rank_on(basis, shallow[i]) - k
-            ),
-            _type_from_ranks(k, lambda i: rank_on(basis, shifted[i])),
-        )
-
-    # Tallied by the conjugates of the two types, which the ranks give.
-    counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    types: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for below, pivots, tops in _invariant_bases(module, k):
-        # The columns c_s - 1 before the pivots of the rows read whole.
-        cols = [c - 1 for c in pivots if depth[c] and c - 1 not in pivots]
-        reads = [tuple if c - 1 in cols else itemgetter(c, *cols) for c in pivots]
-        lower = (pivots, tuple([read(row) for read, row in zip(reads[1:], below)]))
-        project = reads[0]
-        reps = None
-        for top, size in Counter(map(project, tops)).items():
-            conj = types.get((lower, top))
-            if conj is None:
-                if reps is None:
-                    reps = dict(zip(map(project, tops), tops))
-                conj = types[lower, top] = classify((reps[top],) + below)
-            counts[conj] = counts.get(conj, 0) + size
-    return {
-        (Partition(quo).conjugate(), Partition(sub).conjugate()): count
-        for (quo, sub), count in counts.items()
-    }
+        c = pivots[0]
+        reach = range(room[c] + 1, min(nil + 1, longest) + 1)
+        grid = {(h, i): size(h, i) for h in range(depth[c] + 1) for i in reach}
+        for (h, i), m in grid.items():
+            m -= grid.get((h + 1, i), 0) + grid.get((h, i - 1), 0)
+            m += grid.get((h + 1, i - 1), 0)
+            if m:
+                counts[ranks, h, i] = counts.get((ranks, h, i), 0) + m
+    table: dict[tuple[Partition, Partition], int] = {}
+    for ((quo_ranks, sub_ranks), h, i), count in counts.items():
+        quo = _type_from_ranks(n - k, lambda j: quo_ranks[j] + (j > h))
+        sub = _type_from_ranks(k, lambda j: sub_ranks[j] + (j < i))
+        key = Partition(quo).conjugate(), Partition(sub).conjugate()
+        table[key] = table.get(key, 0) + count
+    return table
 
 
 def hall_number(outer: Partition, quotient: Partition, sub: Partition, p: int) -> int:
