@@ -24,7 +24,7 @@ and drops a partial row as soon as it breaks that condition.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from operator import index
 from typing import Callable, Iterator
 
@@ -161,23 +161,61 @@ def _rows_with_pivot(
     return tops[0], tops[1:] + [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in ends]
 
 
-def _span(base: Row, gens: list[Row], p: int) -> list[Row]:
-    """Every point of base + span(gens) over F_p, for gens as
-    `_rows_with_pivot` gives them: each is 1 at a column where the base
-    and the other gens are 0, so a unit row just sets that entry."""
-    points, entries = [base], [(x,) for x in range(p)]
-    for g in gens:
-        if sum(g) == 1:
-            j = g.index(1)
-            halves = [(v[:j], v[j + 1 :]) for v in points]
-            points = [head + x + tail for head, tail in halves for x in entries]
-        else:
-            points = [
-                tuple([(a + x * b) % p for a, b in zip(v, g)])
-                for v in points
-                for x in range(p)
-            ]
-    return points
+def _followed(
+    module: JordanModule, c: int, lower: dict[int, Row], space: tuple[Row, list[Row]]
+) -> tuple[Row, list[Row]] | None:
+    """The part of the batch `space` of rows b with pivot c, as
+    `_rows_with_pivot(module, c, lower)` gives it, that may hold rows a top
+    row can follow: all of it, one affine piece of it, or None.  It never
+    leaves out a b that some top row follows.
+
+    A top row with pivot t < c has T(top) in span(b, W'), W' spanned by
+    `lower`, with b's coefficient T(top)[c]: top[c - 1] when depth[c] > 0,
+    and 0 otherwise.  When it is 0, whether a top row exists does not
+    depend on b, so the top rows solved for on the batch's base decide
+    for all of it.  A
+    t < c - 1 leaves the coefficient open, and the batch is kept whole.
+    At t = c - 1 it is 1, so b = reduce(T(top), W'), and those b form
+    e_c + span(reduce(e_{j+1}, W')) over the open entries j of top with
+    depth[j + 1] > 0; that piece is met with the batch."""
+    n, p, depth = module.dim, module.p, module.depth
+    base, gens = space
+    if not depth[c]:
+        lower = {c: base, **lower}
+        return space if any(_rows_with_pivot(module, t, lower) for t in range(c)) else None
+    if c > 1:  # t = 0 < c - 1
+        return space
+    zero, echelon = [0] * n, list(lower.items())
+    dirs = [
+        _reduce([int(x == j + 1) for x in range(n)], echelon, p)
+        for j in range(c + 1, n - 1)
+        if j not in lower and depth[j + 1]
+    ]
+    # x = base + sum(a g) = e_c + sum(z h), solved on the rows (g | g) and (h | 0).
+    meet = _echelon([[*g, *g] for g in gens] + [[*h, *zero] for h in dirs], p)
+    rest = _reduce([(int(j == c) - a) % p for j, a in enumerate(base)] + zero, meet, p)
+    if any(rest[:n]):
+        return None
+    return (
+        tuple([(a - y) % p for a, y in zip(base, rest[n:])]),
+        [tuple(e[n:]) for q, e in meet if q >= n],
+    )
+
+
+def _span(base: Row, gens: list[Row], p: int) -> Iterator[Row]:
+    """Every point of base + span(gens) over F_p, gens independent, one at
+    a time.  A unit row among gens makes its column take every value, so
+    each sum of base and multiples of the other gens is yielded with the
+    unit columns set to each tuple of values; by independence no point
+    comes twice."""
+    units = {g.index(1) for g in gens if sum(g) == 1}
+    steps = [[[x * a % p for a in g] for x in range(p)] for g in gens if sum(g) != 1]
+
+    def points(terms: tuple[list[int], ...]) -> Iterator[Row]:
+        core = [sum(col) % p for col in zip(base, *terms)]
+        return product(*[range(p) if j in units else (v,) for j, v in enumerate(core)])
+
+    return chain.from_iterable(map(points, product(*steps)))
 
 
 def _invariant_bases(
@@ -193,7 +231,8 @@ def _invariant_bases(
     rows with pivot c, as `_rows_with_pivot` solves for them; the walk
     goes on from each of them, until only the top row is left to place,
     and then hands the affine space of top rows over as one batch.  So
-    nothing is done per leaf here.
+    nothing is done per leaf here.  One row below the top it goes on only
+    from the rows that `_followed` keeps; the others yield no batch.
 
     The walk counts the bases it yields, and raises CapExceededError
     before the batch that would take it past MAX_LEAVES."""
@@ -207,6 +246,8 @@ def _invariant_bases(
         lower = dict(zip(pivots, below))
         for c in range(r, pivots[0] if pivots else module.dim):
             space = _rows_with_pivot(module, c, lower)
+            if space and r == 1:
+                space = _followed(module, c, lower, space)
             if space and r:
                 for row in _span(*space, p):
                     yield from walk((row,) + below, (c,) + pivots)

@@ -302,6 +302,28 @@ class TestHallNumbers:
         finally:
             oracle._type_tables.cache_clear()
 
+    def test_walk_lists_only_followed_lower_rows(self, monkeypatch):
+        # In (2,1^3) a top row with pivot 0 maps to e_1, so of the 13^3
+        # lower rows with pivot 1 only e_1 admits one.  Listing every lower
+        # row and trying every top pivot under it takes 2,582 calls here.
+        outer, calls = P("(2,1^3)"), []
+        solve = oracle._rows_with_pivot
+
+        def spy(*args):
+            calls.append(args)
+            return solve(*args)
+
+        oracle._type_tables.cache_clear()
+        monkeypatch.setattr(oracle, "_rows_with_pivot", spy)
+        try:
+            table = oracle._type_tables(outer, 2, 13)
+        finally:
+            oracle._type_tables.cache_clear()
+        assert len(calls) <= 500
+        assert sum(table.values()) == sum(
+            submodule_count(outer, nu, 13) for nu in partitions_of(2)
+        )
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_walked_half_matches_leaf_by_leaf(self, p):
         # The tables with 2k <= n are walked in batches whose top rows are
@@ -327,20 +349,33 @@ class TestHallNumbers:
         )
 
     @pytest.mark.parametrize(
-        "p,max_weight", [(2, 6), (3, 6), (5, 4), (7, 5), (11, 5), (13, 5)]
+        "p,max_weight", [(2, 6), (3, 6), (5, 6), (7, 6), (11, 5), (13, 5)]
     )
     def test_marginals_match_birkhoff(self, p, max_weight):
+        # At weight 6 this reaches the lower rows the walk leaves unlisted
+        # when no top row can follow them: (2,1^4), (2,2,1,1) and (1^6).
         for n in range(max_weight + 1):
             for outer in partitions_of(n):
-                by_sub, by_quotient = {}, {}
-                for (quo, sub), count in hall_number_table(outer, p).items():
-                    by_sub[sub] = by_sub.get(sub, 0) + count
-                    by_quotient[quo] = by_quotient.get(quo, 0) + count
                 for k in range(n + 1):
+                    # The walk of dimension min(k, n - k) counts every basis
+                    # it yields, and raises once they pass the leaf budget.
+                    walked = min(k, n - k)
+                    bases = sum(submodule_count(outer, nu, p) for nu in partitions_of(walked))
+                    if bases > oracle.MAX_LEAVES:
+                        with pytest.raises(CapExceededError, match="leaf budget"):
+                            hall_number_table(outer, p, dim=k)
+                        continue
+                    by_sub, by_quotient = {}, {}
+                    for (quo, sub), count in hall_number_table(outer, p, dim=k).items():
+                        by_sub[sub] = by_sub.get(sub, 0) + count
+                        by_quotient[quo] = by_quotient.get(quo, 0) + count
+                    # By duality as many submodules have quotient type nu
+                    # as have sub type nu.
                     for nu in partitions_of(k):
-                        # By duality as many submodules have quotient type nu.
                         expected = submodule_count(outer, nu, p)
                         assert by_sub.get(nu, 0) == expected, (outer, nu)
+                    for nu in partitions_of(n - k):
+                        expected = submodule_count(outer, nu, p)
                         assert by_quotient.get(nu, 0) == expected, (outer, nu)
 
     @pytest.mark.parametrize(
