@@ -19,12 +19,19 @@ block.  The leading index of a vector therefore rises under the action,
 so in a reduced echelon basis of an invariant subspace the image of row r
 lies in the span of the rows below it.  The search places rows bottom-up
 and drops a partial row as soon as it breaks that condition.
+
+Scaling each Jordan block by its own nonzero scalar commutes with the
+operator, so the diagonal torus T = (F_p^x)^l, l the number of blocks,
+acts on the invariant subspaces.  It fixes every pivot and keeps both
+types, as Hall numbers are isomorphism invariants (Macdonald, Ch. II).
+So the search places the rows below the top one up to T: one partial
+basis per orbit, with the size of its orbit as its weight.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, islice, product, repeat
 from operator import index
 from typing import Callable, Iterator
 
@@ -61,7 +68,8 @@ class JordanModule:
 
     `matrix` has a 1 at (j, j + 1) inside each block; the operator acts on
     row vectors by v -> vM.  `depth[j]` is the place of coordinate j in
-    its block, so (vM)[j] is v[j - 1] when depth[j] > 0 and 0 otherwise.
+    its block, so (vM)[j] is v[j - 1] when depth[j] > 0 and 0 otherwise;
+    `block[j]` is the index of that block.
     """
 
     def __init__(self, shape: Partition, p: int):
@@ -70,6 +78,7 @@ class JordanModule:
         self.p = p
         self.dim = shape.weight
         self.depth = tuple(i for size in shape.parts for i in range(size))
+        self.block = tuple(b for b, size in enumerate(shape.parts) for _ in range(size))
         self.matrix = tuple(
             tuple(int(j == i + 1 and self.depth[j] > 0) for j in range(self.dim))
             for i in range(self.dim)
@@ -218,28 +227,79 @@ def _span(base: Row, gens: list[Row], p: int) -> Iterator[Row]:
     return chain.from_iterable(map(points, product(*steps)))
 
 
+def _representatives(
+    rows: Iterator[Row], c: int, comp: tuple[int, ...], block: tuple[int, ...]
+) -> Iterator[tuple[Row, tuple[int, ...]]]:
+    """One row with pivot c of each orbit in `rows` of the torus elements
+    that fix the rows placed so far, with `comp` updated for it.
+
+    comp[b] is the first block of block b's component, and those torus
+    elements are the ones constant on each component.  Such an element
+    scales the entries of a row in a component C by t_C / t_D, D the
+    pivot's component, and maps the rows the walk admits onto themselves.
+    So the row kept of each orbit is the one whose first nonzero entry in
+    each component C other than D that it meets is 1, and its stabiliser
+    is constant on D and those C together: comp merges them into D."""
+    home = comp[block[c]]
+    others = [(j, comp[block[j]]) for j in range(c + 1, len(block)) if comp[block[j]] != home]
+    for row in rows:
+        met = {home}
+        for j, x in others:
+            if row[j] and x not in met:
+                if row[j] != 1:
+                    break
+                met.add(x)
+        else:
+            yield row, comp if len(met) == 1 else tuple(home if x in met else x for x in comp)
+
+
+def _orbit_size(comp: tuple[int, ...], p: int) -> int:
+    """The size (p - 1)^(l - #components) of the torus orbit of a partial
+    basis whose stabiliser is constant on the components `comp`."""
+    return (p - 1) ** (len(comp) - len(set(comp)))
+
+
+def _scaled(row: Row, scale: list[int], c: int, p: int) -> Row:
+    """The row with entry j times scale[j] / scale[c], so a row 1 at
+    column c stays 1 there."""
+    inv = pow(scale[c], p - 2, p)
+    return tuple([a * s * inv % p for a, s in zip(row, scale)])
+
+
 def _invariant_bases(
     module: JordanModule, k: int
-) -> Iterator[tuple[tuple[Row, ...], tuple[int, ...], tuple[Row, list[Row]]]]:
+) -> Iterator[tuple[tuple[Row, ...], tuple[int, ...], tuple[Row, list[Row]], tuple[int, ...]]]:
     """The reduced echelon bases, rows top to bottom, of the invariant
     k-dimensional subspaces, k >= 1, in batches (below, pivots, (base,
-    gens)): the bases (top,) + below for each top in base + span(gens),
-    all with the pivot columns pivots.
+    gens), comp), one per orbit of the torus T: the bases (top,) + below
+    for each top in base + span(gens), all with the pivot columns pivots.
+    comp maps each block to the first block of its component, and the
+    elements of T that fix `below` are those constant on each component.
+
+    T commutes with the operator and fixes every pivot, so it maps the
+    partial bases the walk admits onto themselves, and the top rows over
+    t(below) onto those over below, keeping both types.  So a batch
+    stands for the batches its orbit holds, one per coset of its
+    stabiliser; their number, (p - 1)^(l - #components) =
+    `_orbit_size(comp, p)`, is the batch's weight.
 
     A depth-first walk over the partial bases, rows placed bottom-up.
     Each pivot c left of the rows placed so far gives the admissible
     rows with pivot c, as `_rows_with_pivot` solves for them; the walk
-    goes on from each of them, until only the top row is left to place,
-    and then hands the affine space of top rows over as one batch.  So
-    nothing is done per leaf here.  One row below the top it goes on only
-    from the rows that `_followed` keeps; the others yield no batch.
+    goes on from one of them in each orbit of the elements of T that fix
+    the rows below, as `_representatives` picks them, until only the top
+    row is left to place, and then hands the affine space of top rows
+    over as one batch.  So nothing is done per leaf here.  One row below
+    the top it goes on only from the rows that `_followed` keeps; the
+    others yield no batch.
 
-    The walk counts the bases it yields, and raises CapExceededError
-    before the batch that would take it past MAX_LEAVES."""
-    p = module.p
+    The walk counts the bases its batches stand for, weight times
+    p^len(gens), and raises CapExceededError before the batch that would
+    take it past MAX_LEAVES."""
+    p, block = module.p, module.block
     leaves = 0
 
-    def walk(below: tuple[Row, ...], pivots: tuple[int, ...]) -> Iterator:
+    def walk(below: tuple[Row, ...], pivots: tuple[int, ...], comp: tuple[int, ...]) -> Iterator:
         nonlocal leaves
         # Row r's pivot leaves room for the r rows still to place above it.
         r = k - 1 - len(below)
@@ -249,20 +309,23 @@ def _invariant_bases(
             if space and r == 1:
                 space = _followed(module, c, lower, space)
             if space and r:
-                for row in _span(*space, p):
-                    yield from walk((row,) + below, (c,) + pivots)
+                rows = _span(*space, p)
+                # Over F_2 the torus is trivial: each row is its own orbit.
+                kept = _representatives(rows, c, comp, block) if p > 2 else zip(rows, repeat(comp))
+                for row, merged in kept:
+                    yield from walk((row,) + below, (c,) + pivots, merged)
             elif space:
-                leaves += p ** len(space[1])
+                leaves += _orbit_size(comp, p) * p ** len(space[1])
                 if leaves > MAX_LEAVES:
                     raise CapExceededError(
                         f"the walk of the dimension-{k} submodules of M{module.shape} "
                         f"over F_{p} passes the leaf budget of {MAX_LEAVES} bases"
                     )
-                yield below, (c,) + pivots, space
+                yield below, (c,) + pivots, space, comp
 
     if k < 1:
         return
-    yield from walk((), ())
+    yield from walk((), (), tuple(range(len(module.shape.parts))))
 
 
 def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[tuple[Row, ...]]:
@@ -270,13 +333,35 @@ def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[tuple[Row, .
     invariant subspace exactly once (order unspecified); the zero subspace
     is ().  A module above the weight cap of its prime raises
     CapExceededError here, before the stream is returned; a dimension
-    whose walk passes the leaf budget raises it when the stream gets there."""
+    whose walk passes the leaf budget raises it when the stream gets there.
+
+    Each batch of the walk is mapped by one element t of T per coset of
+    its stabiliser, 1 on the first block of each component, and the
+    batch t makes is streamed point by point."""
     _check_cap(module.dim, module.p)
+    p, block = module.p, module.block
+
+    def orbit(below, pivots, space, comp) -> Iterator[tuple[tuple[Row, ...], Iterator[Row]]]:
+        """(t below, the top rows t maps the batch's to) for each such t."""
+        free = [b for b, first in enumerate(comp) if b != first]
+        c, (base, gens) = pivots[0], space
+        # Each generator is rescaled to 1 at its first nonzero entry, so a
+        # unit row stays one.
+        firsts = [next(j for j, a in enumerate(g) if a) for g in gens]
+        yield below, _span(base, gens, p)  # t = 1
+        for values in islice(product(range(1, p), repeat=len(free)), 1, None):
+            t = dict(zip(free, values))
+            scale = [t.get(b, 1) for b in block]
+            moved = tuple(_scaled(v, scale, q, p) for v, q in zip(below, pivots[1:]))
+            tops = [_scaled(g, scale, j, p) for g, j in zip(gens, firsts)]
+            yield moved, _span(_scaled(base, scale, c, p), tops, p)
+
     leaves = (
-        (top,) + below
+        (top,) + moved
         for k in range(1, module.dim + 1)
-        for below, _, space in _invariant_bases(module, k)
-        for top in _span(*space, module.p)
+        for batch in _invariant_bases(module, k)
+        for moved, tops in orbit(*batch)
+        for top in tops
     )
     return chain([()], leaves)
 
@@ -330,9 +415,9 @@ def _type_tables(
     shifted = [[x for x in range(n) if room[x] >= j] for j in range(longest + 1)]
     counts: dict[tuple, int] = {}
     last = None
-    for below, pivots, (base, gens) in _invariant_bases(module, k):
+    for below, pivots, (base, gens), comp in _invariant_bases(module, k):
         if below is not last:
-            last = below
+            last, weight = below, _orbit_size(comp, p)
             # At j = 0 and longest a set is empty or whole, where below is W's.
             whole = list(zip(pivots[1:], below))
             on_shallow, on_shifted = (
@@ -367,7 +452,7 @@ def _type_tables(
             m -= grid.get((h + 1, i), 0) + grid.get((h, i - 1), 0)
             m += grid.get((h + 1, i - 1), 0)
             if m:
-                counts[ranks, h, i] = counts.get((ranks, h, i), 0) + m
+                counts[ranks, h, i] = counts.get((ranks, h, i), 0) + m * weight
     table: dict[tuple[Partition, Partition], int] = {}
     for ((quo_ranks, sub_ranks), h, i), count in counts.items():
         quo = _type_from_ranks(n - k, lambda j: quo_ranks[j] + (j > h))

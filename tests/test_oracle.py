@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -106,6 +107,26 @@ def joint_table(outer, p):
     return table
 
 
+def walk_calls(monkeypatch, outer, k, p):
+    """The `_rows_with_pivot` calls that the walk of the dimension-k table
+    of `outer` over F_p makes, and the table."""
+    calls = []
+    solve = oracle._rows_with_pivot
+
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+
+    oracle._type_tables.cache_clear()
+    monkeypatch.setattr(oracle, "_rows_with_pivot", spy)
+    try:
+        table = oracle._type_tables(outer, k, p)
+    finally:
+        oracle._type_tables.cache_clear()
+        monkeypatch.undo()
+    return calls, table
+
+
 def assert_dim_tables_match_joint(p, dims):
     """hall_number_table(outer, p, dim=k) equals the dimension-k part of
     joint_table, for every outer of weight at most 5 and every k in dims(n)."""
@@ -209,10 +230,41 @@ class TestEnumeration:
         # top rows, whose base row is 1 at the top pivot.
         seen = [
             (len(below), len(pivots), base[pivots[0]])
-            for below, pivots, (base, _) in islice(_invariant_bases(module, 4), 5)
+            for below, pivots, (base, _), _ in islice(_invariant_bases(module, 4), 5)
         ]
         assert seen == [(3, 4, 1)] * 5
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("shape", ["(2,1^3)", "(2,2,1)", "(3,1,1)", "(1^4)", "(2^3)"])
+    def test_orbits_expand_to_every_basis_once(self, shape, p):
+        # Above p = 2 the walk's batches stand for their torus orbits, which
+        # the stream maps out: every basis must still come exactly once, in
+        # reduced echelon form and invariant, as many in each dimension as
+        # Birkhoff's count.  In (2^3) some top rows' generators reach into
+        # two blocks, so they must be mapped with the rows below.
+        outer = P(shape)
+        module = JordanModule(outer, p)
+        n, matrix = module.dim, module.matrix
+        subs = list(enumerate_invariant_subspaces(module))
+        assert len(subs) == len(set(subs))
+        by_dim = Counter(map(len, subs))
+        for k in range(n + 1):
+            assert by_dim[k] == sum(submodule_count(outer, nu, p) for nu in partitions_of(k))
+        for sub in subs:
+            pivots = [next(j for j, v in enumerate(row) if v) for row in sub]
+            assert pivots == sorted(set(pivots))
+            for x, c in enumerate(pivots):
+                assert [row[c] for row in sub] == [int(y == x) for y in range(len(sub))]
+            for row in sub:
+                # The image vM lies in the span: it is the sum of the rows
+                # times its entries at their pivots.
+                image = [sum(row[i] * matrix[i][j] for i in range(n)) % p for j in range(n)]
+                combo = [
+                    sum(image[c] * other[j] for c, other in zip(pivots, sub)) % p
+                    for j in range(n)
+                ]
+                assert image == combo
 
     def test_cap_checked_at_call(self):
         # The call raises; nothing is iterated.
@@ -305,24 +357,38 @@ class TestHallNumbers:
     def test_walk_lists_only_followed_lower_rows(self, monkeypatch):
         # In (2,1^3) a top row with pivot 0 maps to e_1, so of the 13^3
         # lower rows with pivot 1 only e_1 admits one.  Listing every lower
-        # row and trying every top pivot under it takes 2,582 calls here.
-        outer, calls = P("(2,1^3)"), []
-        solve = oracle._rows_with_pivot
-
-        def spy(*args):
-            calls.append(args)
-            return solve(*args)
-
-        oracle._type_tables.cache_clear()
-        monkeypatch.setattr(oracle, "_rows_with_pivot", spy)
-        try:
-            table = oracle._type_tables(outer, 2, 13)
-        finally:
-            oracle._type_tables.cache_clear()
-        assert len(calls) <= 500
+        # row and trying every top pivot under it takes 2,582 calls here,
+        # and listing the followed ones without the torus 392.
+        outer = P("(2,1^3)")
+        calls, table = walk_calls(monkeypatch, outer, 2, 13)
+        assert len(calls) <= 60
         assert sum(table.values()) == sum(
             submodule_count(outer, nu, 13) for nu in partitions_of(2)
         )
+
+    def test_walk_lists_one_lower_row_per_torus_orbit(self, monkeypatch):
+        # (2,1^4) has five blocks, so a lower row with entries in several
+        # of them stands for up to 12^4 rows at p = 13; listing every row
+        # that some top row can follow takes 67,762 calls here.
+        outer = P("(2,1^4)")
+        calls, table = walk_calls(monkeypatch, outer, 3, 13)
+        assert len(calls) <= 400
+        assert sum(table.values()) == sum(
+            submodule_count(outer, nu, 13) for nu in partitions_of(3)
+        )
+
+    @pytest.mark.parametrize(
+        "shape,k", [("(2,1^3)", 2), ("(2,2,1)", 2), ("(1^4)", 2), ("(2,1^4)", 3)]
+    )
+    def test_batch_weights_count_every_basis(self, shape, k):
+        # A batch stands for its orbit under the torus (F_13^x)^l, of size
+        # 12^(l - number of components), each member with as many top rows.
+        outer = P(shape)
+        bases = sum(
+            12 ** (len(comp) - len(set(comp))) * 13 ** len(gens)
+            for _, _, (_, gens), comp in _invariant_bases(JordanModule(outer, 13), k)
+        )
+        assert bases == sum(submodule_count(outer, nu, 13) for nu in partitions_of(k))
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_walked_half_matches_leaf_by_leaf(self, p):
