@@ -31,7 +31,7 @@ basis per orbit, with the size of its orbit as its weight.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, islice, product, repeat
+from itertools import chain, product, repeat
 from operator import index
 from typing import Callable, Iterator
 
@@ -69,6 +69,7 @@ class JordanModule:
     `matrix` has a 1 at (j, j + 1) inside each block; the operator acts on
     row vectors by v -> vM.  `depth[j]` is the place of coordinate j in
     its block, so (vM)[j] is v[j - 1] when depth[j] > 0 and 0 otherwise;
+    `room[j]` is the number of coordinates after j in its block, and
     `block[j]` is the index of that block.
     """
 
@@ -78,6 +79,7 @@ class JordanModule:
         self.p = p
         self.dim = shape.weight
         self.depth = tuple(i for size in shape.parts for i in range(size))
+        self.room = tuple(size - 1 - i for size in shape.parts for i in range(size))
         self.block = tuple(b for b, size in enumerate(shape.parts) for _ in range(size))
         self.matrix = tuple(
             tuple(int(j == i + 1 and self.depth[j] > 0) for j in range(self.dim))
@@ -88,7 +90,7 @@ class JordanModule:
         return f"JordanModule(shape={self.shape}, p={self.p})"
 
 
-def _reduce(row: list[int], echelon: list[tuple[int, list[int]]], p: int) -> list[int]:
+def _reduce(row: Row | list[int], echelon: list[tuple[int, list[int]]], p: int) -> list[int]:
     """The row cleared at the echelon's pivot columns by its rows: zero
     exactly when the row lies in their span."""
     for c, e in echelon:
@@ -96,6 +98,12 @@ def _reduce(row: list[int], echelon: list[tuple[int, list[int]]], p: int) -> lis
             f = row[c]
             row = [(a - f * b) % p for a, b in zip(row, e)]
     return row
+
+
+def _unit(row: Row | list[int], c: int, p: int) -> list[int]:
+    """The row scaled to 1 at column c, where it is nonzero."""
+    inv = pow(row[c], p - 2, p)
+    return [a * inv % p for a in row]
 
 
 def _echelon(rows: list[list[int]], p: int) -> list[tuple[int, list[int]]]:
@@ -106,8 +114,7 @@ def _echelon(rows: list[list[int]], p: int) -> list[tuple[int, list[int]]]:
         row = _reduce(row, out, p)
         c = next((j for j, v in enumerate(row) if v), None)
         if c is not None:
-            scale = pow(row[c], p - 2, p)
-            out.append((c, [v * scale % p for v in row]))
+            out.append((c, _unit(row, c, p)))
     return out
 
 
@@ -143,25 +150,24 @@ def _rows_with_pivot(
     to right, each solved for an unknown by a row operation or, with
     none left in it, tested; the first failed test ends the call.  The
     open entries at the end of a block are free."""
-    n, p, depth = module.dim, module.p, module.depth
-    if c + 1 < n and depth[c + 1] and c + 1 not in lower:
+    n, p, depth, room = module.dim, module.p, module.depth, module.room
+    if room[c] and c + 1 not in lower:
         return None  # w[c + 1] = v[c] = 1, but no lower row reaches column c + 1
     # w = rows[0] + the sum of u_x rows[x] over the unknowns left.
-    rows = [lower[c + 1] if c + 1 in lower and depth[c + 1] else (0,) * n]
+    rows = [lower[c + 1] if room[c] else (0,) * n]
     rows += [v for q, v in lower.items() if depth[q] and q - 1 != c and q - 1 not in lower]
     for t in range(c + 2, n):
         if t in lower or (depth[t] and t - 1 not in lower):
             continue
         x = next((x for x in range(1, len(rows)) if rows[x][t]), 0)
         if x:
-            pivot = rows.pop(x)
-            scale = pow(pivot[t], p - 2, p)
-            rows = [[(a - r[t] * scale * b) % p for a, b in zip(r, pivot)] for r in rows]
+            pivot = [(t, _unit(rows.pop(x), t, p))]
+            rows = [_reduce(r, pivot, p) for r in rows]
         elif rows[0][t]:
             return None
     # v[j] = w[j + 1] at the open entries that are not at the end of a block.
     right = range(c + 1, n)
-    shift = {j for j in right if j + 1 < n and depth[j + 1] and j not in lower}
+    shift = {j for j in right if room[j] and j not in lower}
     tops = [
         (0,) * c + (int(not x),) + tuple([w[j + 1] if j in shift else 0 for j in right])
         for x, w in enumerate(rows)
@@ -179,36 +185,30 @@ def _followed(
     leaves out a b that some top row follows.
 
     A top row with pivot t < c has T(top) in span(b, W'), W' spanned by
-    `lower`, with b's coefficient T(top)[c]: top[c - 1] when depth[c] > 0,
-    and 0 otherwise.  When it is 0, whether a top row exists does not
-    depend on b, so the top rows solved for on the batch's base decide
-    for all of it.  A
-    t < c - 1 leaves the coefficient open, and the batch is kept whole.
-    At t = c - 1 it is 1, so b = reduce(T(top), W'), and those b form
-    e_c + span(reduce(e_{j+1}, W')) over the open entries j of top with
-    depth[j + 1] > 0; that piece is met with the batch."""
-    n, p, depth = module.dim, module.p, module.depth
-    base, gens = space
-    if not depth[c]:
-        lower = {c: base, **lower}
-        return space if any(_rows_with_pivot(module, t, lower) for t in range(c)) else None
-    if c > 1:  # t = 0 < c - 1
+    `lower`, with b's coefficient T(top)[c].  At c = 1 with room[0] > 0
+    the only t is 0, and the coefficient is top[0] = 1, so b =
+    reduce(T(top), W'), and those b form e_c + span(reduce(e_{j+1}, W'))
+    over the open entries j of top with room[j] > 0; that piece is met
+    with the batch.  Any other batch is kept whole: the lower rows are
+    placed one torus orbit at a time, so deciding it by solving for top
+    rows would take more `_rows_with_pivot` calls than it saves."""
+    n, p, room = module.dim, module.p, module.room
+    if c != 1 or not room[0]:
         return space
+    base, gens = space
     zero, echelon = [0] * n, list(lower.items())
     dirs = [
         _reduce([int(x == j + 1) for x in range(n)], echelon, p)
-        for j in range(c + 1, n - 1)
-        if j not in lower and depth[j + 1]
+        for j in range(c + 1, n)
+        if room[j] and j not in lower
     ]
-    # x = base + sum(a g) = e_c + sum(z h), solved on the rows (g | g) and (h | 0).
+    # x = base + sum(a g) = e_c + sum(z h), solved on the rows (g | g) and
+    # (h | 0): base is 1 at c, so (base - e_c | base) reduces to (0 | x).
     meet = _echelon([[*g, *g] for g in gens] + [[*h, *zero] for h in dirs], p)
-    rest = _reduce([(int(j == c) - a) % p for j, a in enumerate(base)] + zero, meet, p)
+    rest = _reduce([0] * (c + 1) + [*base[c + 1 :], *base], meet, p)
     if any(rest[:n]):
         return None
-    return (
-        tuple([(a - y) % p for a, y in zip(base, rest[n:])]),
-        [tuple(e[n:]) for q, e in meet if q >= n],
-    )
+    return tuple(rest[n:]), [tuple(e[n:]) for q, e in meet if q >= n]
 
 
 def _span(base: Row, gens: list[Row], p: int) -> Iterator[Row]:
@@ -259,11 +259,11 @@ def _orbit_size(comp: tuple[int, ...], p: int) -> int:
     return (p - 1) ** (len(comp) - len(set(comp)))
 
 
-def _scaled(row: Row, scale: list[int], c: int, p: int) -> Row:
-    """The row with entry j times scale[j] / scale[c], so a row 1 at
-    column c stays 1 there."""
-    inv = pow(scale[c], p - 2, p)
-    return tuple([a * s * inv % p for a, s in zip(row, scale)])
+def _scaled(row: Row, scale: list[int], p: int) -> Row:
+    """The nonzero row with entry j times scale[j], scaled to 1 at its
+    first nonzero entry: a reduced echelon row stays 1 at its pivot."""
+    moved = [a * s for a, s in zip(row, scale)]
+    return tuple(_unit(moved, next(j for j, a in enumerate(moved) if a), p))
 
 
 def _invariant_bases(
@@ -337,24 +337,23 @@ def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[tuple[Row, .
 
     Each batch of the walk is mapped by one element t of T per coset of
     its stabiliser, 1 on the first block of each component, and the
-    batch t makes is streamed point by point."""
+    batch t makes is streamed point by point.  Every row t maps is scaled
+    to 1 at its first nonzero entry, so the rows below stay reduced
+    echelon, and a generator with one nonzero entry is a unit row for
+    `_span`."""
     _check_cap(module.dim, module.p)
     p, block = module.p, module.block
 
-    def orbit(below, pivots, space, comp) -> Iterator[tuple[tuple[Row, ...], Iterator[Row]]]:
+    def orbit(below, _, space, comp) -> Iterator[tuple[tuple[Row, ...], Iterator[Row]]]:
         """(t below, the top rows t maps the batch's to) for each such t."""
         free = [b for b, first in enumerate(comp) if b != first]
-        c, (base, gens) = pivots[0], space
-        # Each generator is rescaled to 1 at its first nonzero entry, so a
-        # unit row stays one.
-        firsts = [next(j for j, a in enumerate(g) if a) for g in gens]
-        yield below, _span(base, gens, p)  # t = 1
-        for values in islice(product(range(1, p), repeat=len(free)), 1, None):
+        base, gens = space
+        for values in product(range(1, p), repeat=len(free)):
             t = dict(zip(free, values))
             scale = [t.get(b, 1) for b in block]
-            moved = tuple(_scaled(v, scale, q, p) for v, q in zip(below, pivots[1:]))
-            tops = [_scaled(g, scale, j, p) for g, j in zip(gens, firsts)]
-            yield moved, _span(_scaled(base, scale, c, p), tops, p)
+            moved = tuple(_scaled(v, scale, p) for v in below)
+            tops = [_scaled(g, scale, p) for g in gens]
+            yield moved, _span(_scaled(base, scale, p), tops, p)
 
     leaves = (
         (top,) + moved
@@ -409,8 +408,7 @@ def _type_tables(
     if n >= k > n - k:
         return {(sub, quo): c for (quo, sub), c in _type_tables(shape, n - k, p).items()}
     module = JordanModule(shape, p)
-    depth, longest = module.depth, shape.parts[0]
-    room = [size - 1 - i for size in shape.parts for i in range(size)]
+    depth, room, longest = module.depth, module.room, shape.parts[0]
     shallow = [[x for x in range(n) if depth[x] < j] for j in range(longest + 1)]
     shifted = [[x for x in range(n) if room[x] >= j] for j in range(longest + 1)]
     counts: dict[tuple, int] = {}

@@ -235,14 +235,19 @@ class TestEnumeration:
         assert seen == [(3, 4, 1)] * 5
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("p", [5, 7])
-    @pytest.mark.parametrize("shape", ["(2,1^3)", "(2,2,1)", "(3,1,1)", "(1^4)", "(2^3)"])
+    @pytest.mark.parametrize(
+        "shape,p",
+        [(s, p) for s in ["(2,1^3)", "(2,2,1)", "(3,1,1)", "(1^4)", "(2^3)"] for p in [5, 7]]
+        + [(s, p) for s in ["(1^3)", "(2,1,1)", "(2,2)"] for p in [11, 13]],
+    )
     def test_orbits_expand_to_every_basis_once(self, shape, p):
         # Above p = 2 the walk's batches stand for their torus orbits, which
         # the stream maps out: every basis must still come exactly once, in
         # reduced echelon form and invariant, as many in each dimension as
         # Birkhoff's count.  In (2^3) some top rows' generators reach into
-        # two blocks, so they must be mapped with the rows below.
+        # two blocks, so they must be mapped with the rows below.  Every
+        # mapped row, under the identity too, is rescaled to 1 at its first
+        # nonzero entry, which p = 11 and 13 try with more scalars.
         outer = P(shape)
         module = JordanModule(outer, p)
         n, matrix = module.dim, module.matrix
@@ -358,10 +363,10 @@ class TestHallNumbers:
         # In (2,1^3) a top row with pivot 0 maps to e_1, so of the 13^3
         # lower rows with pivot 1 only e_1 admits one.  Listing every lower
         # row and trying every top pivot under it takes 2,582 calls here,
-        # and listing the followed ones without the torus 392.
+        # listing the followed ones without the torus 392, and with it 23.
         outer = P("(2,1^3)")
         calls, table = walk_calls(monkeypatch, outer, 2, 13)
-        assert len(calls) <= 60
+        assert len(calls) <= 30
         assert sum(table.values()) == sum(
             submodule_count(outer, nu, 13) for nu in partitions_of(2)
         )
@@ -369,10 +374,11 @@ class TestHallNumbers:
     def test_walk_lists_one_lower_row_per_torus_orbit(self, monkeypatch):
         # (2,1^4) has five blocks, so a lower row with entries in several
         # of them stands for up to 12^4 rows at p = 13; listing every row
-        # that some top row can follow takes 67,762 calls here.
+        # that some top row can follow takes 67,762 calls here, and one row
+        # per torus orbit 145.
         outer = P("(2,1^4)")
         calls, table = walk_calls(monkeypatch, outer, 3, 13)
-        assert len(calls) <= 400
+        assert len(calls) <= 200
         assert sum(table.values()) == sum(
             submodule_count(outer, nu, 13) for nu in partitions_of(3)
         )
