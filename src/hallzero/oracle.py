@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, product, repeat
 from operator import index
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import CapExceededError
 from .partitions import ZERO, Partition
@@ -66,11 +66,11 @@ class JordanModule:
     """A nilpotent operator in Jordan form over F_p, block sizes given by a
     partition; p must be one of SUPPORTED_PRIMES.
 
-    `matrix` has a 1 at (j, j + 1) inside each block; the operator acts on
-    row vectors by v -> vM.  `depth[j]` is the place of coordinate j in
-    its block, so (vM)[j] is v[j - 1] when depth[j] > 0 and 0 otherwise;
-    `room[j]` is the number of coordinates after j in its block, and
-    `block[j]` is the index of that block.
+    The operator acts on row vectors by v -> vM, M the Jordan matrix with
+    a 1 at (j, j + 1) inside each block.  `depth[j]` is the place of
+    coordinate j in its block, so (vM)[j] is v[j - 1] when depth[j] > 0
+    and 0 otherwise; `room[j]` is the number of coordinates after j in its
+    block, and `block[j]` is the index of that block.
     """
 
     def __init__(self, shape: Partition, p: int):
@@ -81,10 +81,6 @@ class JordanModule:
         self.depth = tuple(i for size in shape.parts for i in range(size))
         self.room = tuple(size - 1 - i for size in shape.parts for i in range(size))
         self.block = tuple(b for b, size in enumerate(shape.parts) for _ in range(size))
-        self.matrix = tuple(
-            tuple(int(j == i + 1 and self.depth[j] > 0) for j in range(self.dim))
-            for i in range(self.dim)
-        )
 
     def __repr__(self) -> str:
         return f"JordanModule(shape={self.shape}, p={self.p})"
@@ -116,21 +112,6 @@ def _echelon(rows: list[list[int]], p: int) -> list[tuple[int, list[int]]]:
         if c is not None:
             out.append((c, _unit(row, c, p)))
     return out
-
-
-def _type_from_ranks(dim: int, rank_of_power: Callable[[int], int]) -> tuple[int, ...]:
-    """Conjugate of the Jordan type of a nilpotent operator on a dim-space,
-    from the ranks of its powers: part i is rank T^(i-1) - rank T^i.  Once
-    a rank is 1 the next is 0, so it is not asked for."""
-    conj: list[int] = []
-    prev, i = dim, 1
-    while prev:
-        rank = rank_of_power(i) if prev > 1 else 0
-        if rank >= prev:
-            raise ValueError("operator is not nilpotent")
-        conj.append(prev - rank)
-        prev, i = rank, i + 1
-    return tuple(conj)
 
 
 def _rows_with_pivot(
@@ -365,6 +346,16 @@ def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[tuple[Row, .
     return chain([()], leaves)
 
 
+def _moved(ranks: tuple[int, ...], column: int, box: int) -> Partition:
+    """The partition whose conjugate is the consecutive differences of
+    `ranks`, those of T^0, T^1, ... for a nilpotent T up to an added
+    constant, with `box` (1 or -1) added in column `column`, counted
+    from 1."""
+    conj = [a - b for a, b in zip(ranks, ranks[1:])]
+    conj[column - 1] += box
+    return Partition(tuple(conj)).conjugate()
+
+
 @lru_cache(maxsize=None)
 def _type_tables(
     shape: Partition, k: int, p: int
@@ -398,7 +389,11 @@ def _type_tables(
     top rows in S_h and K_i number 0 or p^(d - r), r the rank of A's d
     generators reduced there, and a flag pair's count is an
     inclusion-exclusion of four such numbers.  The counts are tallied by
-    W's ranks and the flags, and each key becomes its two types once.
+    W's ranks and the flags, and each key becomes its two types once, by
+    the box rule those identities state (Macdonald, Ch. II): the
+    consecutive differences of W's two rank tuples are the conjugates of
+    W's type and of V/W's, and U's type is W's with one box added in
+    column i, V/U's is V/W's with one box removed in column h + 1.
 
     A walk past the leaf budget of `_invariant_bases` raises
     CapExceededError, and no table is kept for it."""
@@ -453,9 +448,7 @@ def _type_tables(
                 counts[ranks, h, i] = counts.get((ranks, h, i), 0) + m * weight
     table: dict[tuple[Partition, Partition], int] = {}
     for ((quo_ranks, sub_ranks), h, i), count in counts.items():
-        quo = _type_from_ranks(n - k, lambda j: quo_ranks[j] + (j > h))
-        sub = _type_from_ranks(k, lambda j: sub_ranks[j] + (j < i))
-        key = Partition(quo).conjugate(), Partition(sub).conjugate()
+        key = _moved(quo_ranks, h + 1, -1), _moved(sub_ranks, i, 1)
         table[key] = table.get(key, 0) + count
     return table
 

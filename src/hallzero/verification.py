@@ -10,7 +10,7 @@ from .degeneration import leq_deg, partitions_of
 from .errors import InfeasibleError
 from .interpolate import interpolate_hall_poly
 from .monoid import check_extension_bound
-from .oracle import hall_number
+from .oracle import _check_cap, hall_number
 from .partitions import Partition
 
 
@@ -111,6 +111,10 @@ def check_interpolation_agreement(max_weight: int) -> CheckResult:
 
 
 def run_all(max_weight: int = 5) -> list[CheckResult]:
+    """Every check up to max_weight.  Two of them count at p = 2, so a
+    max_weight above the oracle's cap there raises CapExceededError
+    before any check runs."""
+    _check_cap(max_weight, 2)
     return [
         check_fmap_multiplicative(max_weight),
         check_ones_constant_terms(max_weight),

@@ -278,8 +278,15 @@ class TestVerify:
         assert code == 1 and payload["ok"] is False
         assert [c["passed"] for c in payload["checks"]] == [True, False, True, False]
 
-    def test_above_the_p2_cap_exits_3(self, capsys):
-        code, out, err = run(capsys, "verify", "--max-weight", "9")
+    @pytest.mark.parametrize("weight", [9, 30])
+    def test_above_the_p2_cap_exits_3(self, capsys, monkeypatch, weight):
+        # The cap is checked before any check runs: the products up to
+        # weight 30 alone would take minutes.
+        def unreachable(max_weight):
+            raise AssertionError("a check ran above the cap")
+
+        monkeypatch.setattr(verification, "check_fmap_multiplicative", unreachable)
+        code, out, err = run(capsys, "verify", "--max-weight", str(weight))
         assert (code, out) == (3, "")
         assert "exceeds the enumeration cap 8 for p=2" in err
 

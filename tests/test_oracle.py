@@ -12,7 +12,6 @@ from hallzero.errors import CapExceededError
 from hallzero.oracle import (
     JordanModule,
     _invariant_bases,
-    _type_from_ranks,
     count_all_subspaces,
     enumerate_invariant_subspaces,
     gaussian_binomial,
@@ -57,6 +56,20 @@ def mat_pow(m, e, p):
     return out
 
 
+def jordan_matrix(shape):
+    """The nilpotent Jordan matrix with the given block sizes, built from
+    them alone: a 1 at (j, j + 1) wherever j and j + 1 lie in one block,
+    so that v -> vM moves each entry one place further into its block."""
+    n = shape.weight
+    m = [[0] * n for _ in range(n)]
+    start = 0
+    for size in shape.parts:
+        for j in range(start, start + size - 1):
+            m[j][j + 1] = 1
+        start += size
+    return m
+
+
 def submodule_count(lam, nu, q):
     """Birkhoff's closed form for the number of submodules of type nu of the
     module of type lam over F_q (Macdonald, Symmetric Functions and Hall
@@ -88,7 +101,7 @@ def joint_table(outer, p):
     both types from ranks of matrix powers computed here."""
     module = JordanModule(outer, p)
     n = module.dim
-    powers = [mat_pow(module.matrix, i, p) for i in range(n + 1)]
+    powers = [mat_pow(jordan_matrix(outer), i, p) for i in range(n + 1)]
     table = {}
     for sub in enumerate_invariant_subspaces(module):
         basis = [list(row) for row in sub]
@@ -157,19 +170,18 @@ class TestPrimeField:
 
 
 class TestJordanModule:
-    def test_matrix_blocks(self):
-        m = JordanModule(P("(2,1)"), 2)
-        assert m.matrix == ((0, 1, 0), (0, 0, 0), (0, 0, 0))
-
-    def test_nilpotency_index(self):
-        for shape in partitions_of(5):
-            m = JordanModule(shape, 3)
-            top = shape.parts[0]
-            power = mat_pow(m.matrix, top, 3)
-            assert not any(any(row) for row in power)
-            if top > 1:
-                below = mat_pow(m.matrix, top - 1, 3)
-                assert any(any(row) for row in below)
+    @pytest.mark.parametrize(
+        "shape,depth,room,block",
+        [
+            ("(3,1)", (0, 1, 2, 0), (2, 1, 0, 0), (0, 0, 0, 1)),
+            ("(2,2,1)", (0, 1, 0, 1, 0), (1, 0, 1, 0, 0), (0, 0, 1, 1, 2)),
+        ],
+    )
+    def test_coordinate_tables(self, shape, depth, room, block):
+        # Each coordinate's place in its block, the places after it, and
+        # the block's index: all the walk reads of the operator.
+        module = JordanModule(P(shape), 3)
+        assert (module.depth, module.room, module.block) == (depth, room, block)
 
 
 class TestEnumeration:
@@ -199,7 +211,7 @@ class TestEnumeration:
 
     def test_bases_are_invariant_and_echelon(self):
         for shape in partitions_of(4):
-            module = JordanModule(shape, 3)
+            module, matrix = JordanModule(shape, 3), jordan_matrix(shape)
             for sub in enumerate_invariant_subspaces(module):
                 rows = [list(r) for r in sub]
                 assert rank_gf(rows, 3) == len(sub)
@@ -208,7 +220,7 @@ class TestEnumeration:
                 for row in rows:
                     # The operator acts on row vectors by v -> vM.
                     image = [
-                        sum(row[i] * module.matrix[i][j] for i in range(len(row))) % 3
+                        sum(row[i] * matrix[i][j] for i in range(len(row))) % 3
                         for j in range(len(row))
                     ]
                     assert rank_gf(rows + [image], 3) == len(sub)
@@ -250,7 +262,7 @@ class TestEnumeration:
         # nonzero entry, which p = 11 and 13 try with more scalars.
         outer = P(shape)
         module = JordanModule(outer, p)
-        n, matrix = module.dim, module.matrix
+        n, matrix = module.dim, jordan_matrix(outer)
         subs = list(enumerate_invariant_subspaces(module))
         assert len(subs) == len(set(subs))
         by_dim = Counter(map(len, subs))
@@ -288,22 +300,6 @@ class TestEnumeration:
             count_all_subspaces(4, 3)
         monkeypatch.undo()
         assert count_all_subspaces(4, 3) == 1 + 40 + 130 + 40 + 1
-
-
-class TestTypeFromRanks:
-    @pytest.mark.parametrize("rank", [3, 2])
-    def test_not_nilpotent_is_rejected(self, rank):
-        # Ranks that never fall (3 on a 3-space), or stop falling (3, 2, 2),
-        # raise after a few calls instead of looping.
-        calls = []
-
-        def rank_of_power(i):
-            calls.append(i)
-            return rank
-
-        with pytest.raises(ValueError, match="not nilpotent"):
-            _type_from_ranks(3, rank_of_power)
-        assert len(calls) <= 3
 
 
 class TestHallNumbers:
