@@ -5,8 +5,9 @@ constant on u_target in u_left * u_right is the constant term of the
 corresponding classical Hall polynomial.  Products are taken in the
 basis {f_map(s)}, where f_map(a) * f_map(b) = f_map(a + b): take both
 factors to f-coordinates by their sparse Moebius rows, add parts tuples
-pairwise once, and add each sum's coefficient at the set bits of its
-zeta row, into one coefficient list per weight.  This is the
+pairwise once, and add each sum's coefficient along its whole zeta row
+at once, into the two's complement bit planes of its weight's
+coefficients by a ripple-carry adder on whole rows.  This is the
 unitriangular back-substitution along the degeneration order, which is
 read only through `_leq_sums`, `moebius_row` and the zeta rows.  A
 Moebius row is computed from the covers of its partition, so a single
@@ -16,8 +17,9 @@ target's instead of listing an up-set, builds no poset at all.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate
-from operator import add, index
+from operator import add, index, or_
 from typing import Iterable, Mapping
 
 from .degeneration import _leq_sums, _select, moebius_row, poset_of, up_set
@@ -167,19 +169,30 @@ def constant_term(left: Partition, right: Partition, target: Partition) -> int:
 def h0_multiply(x: H0Element, y: H0Element) -> H0Element:
     """Bilinear product of two algebra elements, taken in the basis
     {f_map(s)}: one fold of both factors, then each nonzero folded term
-    adds its coefficient at the set bits of its zeta row, into one
-    coefficient list per weight, indexed like that poset's elements."""
-    acc: dict = {}
+    adds its coefficient along its whole zeta row at once.  A weight's
+    coefficients, indexed like that poset's elements, are kept as bit
+    planes in two's complement, plane k holding bit k of every
+    coefficient, and a term is added to them by a ripple-carry adder on
+    whole rows.  Only the positions set in some plane are decoded."""
+    groups: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     # The fold adds terms in no particular order, so it takes them unsorted.
     for s, g in _fold(f_inverse(x)._terms.items(), f_inverse(y)._terms.items()).items():
         if g:
-            n = sum(s)
-            if n not in acc:
-                poset = poset_of(n)
-                acc[n] = poset, [0] * len(poset)
-            poset, coeffs = acc[n]
-            for j in _select(range(len(coeffs)), poset.zeta[poset._index[s]]):
-                coeffs[j] += g
-    return H0Element(
-        (p, c) for poset, cs in acc.values() for p, c in zip(poset.elements, cs) if c
-    )
+            groups.setdefault(sum(s), []).append((s, g))
+    terms: list[Term] = []
+    for n, group in groups.items():
+        poset = poset_of(n)
+        # Every partial sum lies within the sum of |g|, so one bit more
+        # than that sum needs holds it with its sign.
+        width = sum(abs(g) for _, g in group).bit_length() + 1
+        planes = [0] * width
+        for s, g in group:
+            row, carry = poset.zeta[poset._index[s]], 0
+            for k, a in enumerate(planes):
+                b = row if g >> k & 1 else 0
+                planes[k] = a ^ b ^ carry
+                carry = a & b | carry & (a ^ b)
+        for j in _select(range(len(poset)), reduce(or_, planes)):
+            c = sum((plane >> j & 1) << k for k, plane in enumerate(planes))
+            terms.append((poset.elements[j], c - (c >> (width - 1) << width)))
+    return H0Element(terms)

@@ -9,8 +9,8 @@ Floating point is never used here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
+from typing import Iterable
 
 from .errors import InfeasibleError, InterpolationError
 from .oracle import SUPPORTED_PRIMES, hall_number, weight_cap
@@ -26,20 +26,40 @@ def n_stat(p: Partition) -> int:
     return sum(i * v for i, v in enumerate(p.parts))
 
 
-@dataclass(frozen=True)
 class IntPoly:
     """Dense integer polynomial; coefficients constant term first.
 
     Coefficients go through operator.index, so a float or Fraction raises
-    TypeError instead of being truncated."""
+    TypeError instead of being truncated.  Trailing zeros are stripped.
+    Instances are immutable and hashable, and equal only to polynomials."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(map(index, self.coeffs))
+    def __init__(self, coeffs: Iterable[int] = ()) -> None:
+        coeffs = tuple(map(index, coeffs))
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: IntPoly is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: IntPoly is immutable")
+
+    def __reduce__(self) -> tuple:
+        return (IntPoly, (self.coeffs,))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"IntPoly(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:

@@ -8,7 +8,6 @@ union, and conjugation exchanges them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, groupby, repeat
 from operator import add, index
 from typing import Iterable, Iterator
@@ -43,7 +42,6 @@ class PartitionParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class Partition:
     """Weakly decreasing sequence of positive integers.
 
@@ -51,13 +49,14 @@ class Partition:
     coincides with equality of partitions.  The empty tuple is the zero
     partition.  Input that is not weakly decreasing is rejected rather
     than sorted; use :meth:`from_multiset` to sort an arbitrary multiset
-    of parts explicitly.
+    of parts explicitly.  Instances are immutable and hashable, and equal
+    only to partitions.
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(map(index, self.parts))
+    def __init__(self, parts: Iterable[int] = ()) -> None:
+        parts = tuple(map(index, parts))
         for i, value in enumerate(parts):
             if value < 0:
                 raise ValueError(f"negative part {value} at index {i}")
@@ -70,6 +69,23 @@ class Partition:
         # The parts decrease weakly, so the zeros are a suffix.
         parts = parts[: len(parts) - parts.count(0)]
         object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: Partition is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: Partition is immutable")
+
+    def __reduce__(self) -> tuple:
+        return (Partition, (self.parts,))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @classmethod
     def from_multiset(cls, values: Iterable[int]) -> "Partition":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import constant_term, f_map, h0_multiply
 from .degeneration import leq_deg, partitions_of
@@ -14,8 +14,7 @@ from .oracle import _check_cap, hall_number
 from .partitions import Partition
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -283,6 +283,43 @@ class TestMultiply:
             assert product == expect
             assert all(coeff for _, coeff in product.items())
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12, 20])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_coefficient_sums_at_powers_of_two(self, k, offset):
+        # The product keeps a weight's coefficients in as many two's
+        # complement bits as the sum t of its folded |g| needs, plus a
+        # sign bit.  Sums of exactly 2^k - 1, 2^k and 2^k + 1, each with
+        # either sign and split between terms whose up-sets are nested or
+        # overlap in part, so that they add up or cancel on the overlap,
+        # and a weight whose folded terms cancel entirely.
+        t = (1 << k) + offset
+        m = (t + 1) // 2
+        f = lambda text: f_map(P(text))
+        one = U(ZERO)
+        cases = [
+            (t * f("(4,1^2)"), one),
+            (-t * f("(4,1^2)"), one),
+            # Incomparable up-sets: m, m - t and 2m - t on the overlap.
+            (m * f("(4,1^2)") - (t - m) * f("(3^2)"), one),
+            (one, (m - t) * f("(4,1^2)") + m * f("(3^2)")),
+            # Nested up-sets: the overlap is t, or 0 for even t and 1 for
+            # odd t.
+            (m * f("(4,1)") + (t - m) * f("(3,2)"), one),
+            (one, -m * f("(4,1)") - (t - m) * f("(3,2)")),
+            (m * f("(4,1)") - (t - m) * f("(3,2)"), f("(1)")),
+            ((t - 1) * f("(4,1)") - f("(3,2)"), one),
+            # The weight-2 terms of (t f(2) + t f()) (f(2) - f()) cancel
+            # entirely; weight 4 carries t and weight 0 carries -t.
+            (t * f("(2)") + t * one, f("(2)") - one),
+        ]
+        for x, y in cases:
+            expect = H0Element()
+            for p, c in f_inverse(x).items():
+                for q, d in f_inverse(y).items():
+                    expect += (c * d) * f_map(p + q)
+            assert h0_multiply(x, y) == expect
+            assert h0_multiply(y, x) == expect
+
     @pytest.mark.parametrize(
         "pairs",
         [pytest.param(basis_pairs(n), id=f"weight-{n}") for n in range(9)]

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,17 @@ class TestIntPoly:
         with pytest.raises(TypeError):
             IntPoly((1, 2.0))
         assert IntPoly((True, 2)).coeffs == (1, 2)
+
+    def test_value_semantics(self):
+        poly = IntPoly((1, 2, 0))
+        assert repr(poly) == "IntPoly(coeffs=(1, 2))"
+        assert poly == IntPoly((1, 2)) and hash(poly) == hash(IntPoly((1, 2)))
+        assert poly != (1, 2) and pickle.loads(pickle.dumps(poly)) == poly
+        with pytest.raises(AttributeError):
+            poly.coeffs = (3,)
+        with pytest.raises(AttributeError):
+            del poly.coeffs
+        assert poly.coeffs == (1, 2)
 
     def test_degree(self):
         assert IntPoly((1, 2)).degree == 1

@@ -1,3 +1,4 @@
+import pickle
 import time
 
 import pytest
@@ -85,6 +86,18 @@ class TestConstruction:
     def test_equality_and_hash(self):
         assert Partition([2, 1, 0]) == Partition([2, 1])
         assert hash(Partition([2, 1, 0])) == hash(Partition([2, 1]))
+        # Equal only to partitions, never to a bare tuple of parts.
+        assert Partition((2, 1)) != (2, 1) and (2, 1) != Partition((2, 1))
+
+    def test_immutable(self):
+        p = Partition((2, 1))
+        with pytest.raises(AttributeError):
+            p.parts = (3,)
+        with pytest.raises(AttributeError):
+            del p.parts
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        assert p.parts == (2, 1) and pickle.loads(pickle.dumps(p)) == p
 
 
 class TestWeight:
