@@ -24,8 +24,9 @@ Scaling each Jordan block by its own nonzero scalar commutes with the
 operator, so the diagonal torus T = (F_p^x)^l, l the number of blocks,
 acts on the invariant subspaces.  It fixes every pivot and keeps both
 types, as Hall numbers are isomorphism invariants (Macdonald, Ch. II).
-So the search places the rows below the top one up to T: one partial
-basis per orbit, with the size of its orbit as its weight.
+So the searches that count place the rows below the top one up to T:
+one partial basis per orbit, with the size of its orbit as its weight.
+The stream, which lists every basis, searches without T.
 """
 
 from __future__ import annotations
@@ -240,15 +241,14 @@ def _orbit_size(comp: tuple[int, ...], p: int) -> int:
     return (p - 1) ** (len(comp) - len(set(comp)))
 
 
-def _scaled(row: Row, scale: list[int], p: int) -> Row:
-    """The nonzero row with entry j times scale[j], scaled to 1 at its
-    first nonzero entry: a reduced echelon row stays 1 at its pivot."""
-    moved = [a * s for a, s in zip(row, scale)]
-    return tuple(_unit(moved, next(j for j, a in enumerate(moved) if a), p))
+def _bases(gens: list[Row], comp: tuple[int, ...], p: int) -> int:
+    """The number of bases a batch stands for: its orbit's size times its
+    p^len(gens) top rows."""
+    return _orbit_size(comp, p) * p ** len(gens)
 
 
 def _invariant_bases(
-    module: JordanModule, k: int
+    module: JordanModule, k: int, torus: bool = True
 ) -> Iterator[tuple[tuple[Row, ...], tuple[int, ...], tuple[Row, list[Row]], tuple[int, ...]]]:
     """The reduced echelon bases, rows top to bottom, of the invariant
     k-dimensional subspaces, k >= 1, in batches (below, pivots, (base,
@@ -256,6 +256,8 @@ def _invariant_bases(
     for each top in base + span(gens), all with the pivot columns pivots.
     comp maps each block to the first block of its component, and the
     elements of T that fix `below` are those constant on each component.
+    With `torus` false the walk keeps every row, as over F_2, where T is
+    trivial: each batch is its own orbit, of weight 1.
 
     T commutes with the operator and fixes every pivot, so it maps the
     partial bases the walk admits onto themselves, and the top rows over
@@ -274,10 +276,11 @@ def _invariant_bases(
     the top it goes on only from the rows that `_followed` keeps; the
     others yield no batch.
 
-    The walk counts the bases its batches stand for, weight times
-    p^len(gens), and raises CapExceededError before the batch that would
-    take it past MAX_LEAVES."""
+    The walk counts the bases its batches stand for (`_bases`) and
+    raises CapExceededError before the batch that would take it past
+    MAX_LEAVES."""
     p, block = module.p, module.block
+    torus = torus and p > 2  # over F_2 T is trivial: each row is its own orbit
     leaves = 0
 
     def walk(below: tuple[Row, ...], pivots: tuple[int, ...], comp: tuple[int, ...]) -> Iterator:
@@ -291,12 +294,11 @@ def _invariant_bases(
                 space = _followed(module, c, lower, space)
             if space and r:
                 rows = _span(*space, p)
-                # Over F_2 the torus is trivial: each row is its own orbit.
-                kept = _representatives(rows, c, comp, block) if p > 2 else zip(rows, repeat(comp))
+                kept = _representatives(rows, c, comp, block) if torus else zip(rows, repeat(comp))
                 for row, merged in kept:
                     yield from walk((row,) + below, (c,) + pivots, merged)
             elif space:
-                leaves += _orbit_size(comp, p) * p ** len(space[1])
+                leaves += _bases(space[1], comp, p)
                 if leaves > MAX_LEAVES:
                     raise CapExceededError(
                         f"the walk of the dimension-{k} submodules of M{module.shape} "
@@ -316,32 +318,14 @@ def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[tuple[Row, .
     CapExceededError here, before the stream is returned; a dimension
     whose walk passes the leaf budget raises it when the stream gets there.
 
-    Each batch of the walk is mapped by one element t of T per coset of
-    its stabiliser, 1 on the first block of each component, and the
-    batch t makes is streamed point by point.  Every row t maps is scaled
-    to 1 at its first nonzero entry, so the rows below stay reduced
-    echelon, and a generator with one nonzero entry is a unit row for
-    `_span`."""
+    The walk runs without the torus, as it does over F_2, so each batch
+    stands for itself and its top rows are streamed point by point."""
     _check_cap(module.dim, module.p)
-    p, block = module.p, module.block
-
-    def orbit(below, _, space, comp) -> Iterator[tuple[tuple[Row, ...], Iterator[Row]]]:
-        """(t below, the top rows t maps the batch's to) for each such t."""
-        free = [b for b, first in enumerate(comp) if b != first]
-        base, gens = space
-        for values in product(range(1, p), repeat=len(free)):
-            t = dict(zip(free, values))
-            scale = [t.get(b, 1) for b in block]
-            moved = tuple(_scaled(v, scale, p) for v in below)
-            tops = [_scaled(g, scale, p) for g in gens]
-            yield moved, _span(_scaled(base, scale, p), tops, p)
-
     leaves = (
-        (top,) + moved
+        (top,) + below
         for k in range(1, module.dim + 1)
-        for batch in _invariant_bases(module, k)
-        for moved, tops in orbit(*batch)
-        for top in tops
+        for below, _, space, _ in _invariant_bases(module, k, torus=False)
+        for top in _span(*space, module.p)
     )
     return chain([()], leaves)
 
@@ -484,14 +468,21 @@ def hall_number_table(
 
 
 def count_all_subspaces(n: int, p: int) -> int:
-    """Total number of subspaces of F_p^n, by running the enumeration on
-    the zero operator, under which every subspace is invariant.  n goes
-    through operator.index, so a float raises TypeError."""
+    """Total number of subspaces of F_p^n, by walking the zero operator,
+    under which every subspace is invariant, and adding up the bases its
+    batches stand for, plus 1 for the zero subspace.  n goes through
+    operator.index, so a float raises TypeError; an n above `weight_cap(p)`
+    raises CapExceededError before anything is built."""
     n = index(n)
     if n < 0:
         raise ValueError(f"negative dimension {n}")
+    _check_cap(n, p)
     module = JordanModule(Partition((1,) * n), p)
-    return sum(1 for _ in enumerate_invariant_subspaces(module))
+    return 1 + sum(
+        _bases(gens, comp, p)
+        for k in range(1, n + 1)
+        for _, _, (_, gens), comp in _invariant_bases(module, k)
+    )
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -253,13 +253,11 @@ class TestEnumeration:
         + [(s, p) for s in ["(1^3)", "(2,1,1)", "(2,2)"] for p in [11, 13]],
     )
     def test_orbits_expand_to_every_basis_once(self, shape, p):
-        # Above p = 2 the walk's batches stand for their torus orbits, which
-        # the stream maps out: every basis must still come exactly once, in
-        # reduced echelon form and invariant, as many in each dimension as
-        # Birkhoff's count.  In (2^3) some top rows' generators reach into
-        # two blocks, so they must be mapped with the rows below.  Every
-        # mapped row, under the identity too, is rescaled to 1 at its first
-        # nonzero entry, which p = 11 and 13 try with more scalars.
+        # The stream walks without the torus, keeping every lower row, as
+        # over F_2: every basis must come exactly once, in reduced echelon
+        # form and invariant, as many in each dimension as Birkhoff's count.
+        # In (2^3) some top rows' generators reach into two blocks, and
+        # p = 11 and 13 give the lower rows more nonzero entries to take.
         outer = P(shape)
         module = JordanModule(outer, p)
         n, matrix = module.dim, jordan_matrix(outer)
@@ -282,6 +280,18 @@ class TestEnumeration:
                     for j in range(n)
                 ]
                 assert image == combo
+
+    def test_stream_keeps_every_lower_row(self, monkeypatch):
+        # The stream never picks torus representatives, so it needs no
+        # orbit bookkeeping to come out whole.
+        def refuse(*args):
+            raise AssertionError("the stream picked torus representatives")
+
+        monkeypatch.setattr(oracle, "_representatives", refuse)
+        outer = P("(2^3)")
+        by_dim = Counter(map(len, enumerate_invariant_subspaces(JordanModule(outer, 7))))
+        for k in range(7):
+            assert by_dim[k] == sum(submodule_count(outer, nu, 7) for nu in partitions_of(k))
 
     def test_cap_checked_at_call(self):
         # The call raises; nothing is iterated.
@@ -488,6 +498,28 @@ class TestCountAllSubspaces:
 
     def test_five_space(self):
         assert count_all_subspaces(5, 2) == 374
+
+    def test_counts_batches_without_streaming(self, monkeypatch):
+        # The count adds up the sizes of the torus walk's batches, so F_13^5
+        # takes milliseconds, not the seconds of listing its bases.
+        def refuse(*args):
+            raise AssertionError("count_all_subspaces streamed the bases")
+
+        monkeypatch.setattr(oracle, "enumerate_invariant_subspaces", refuse)
+        assert count_all_subspaces(5, 13) == 10581824
+        assert count_all_subspaces(4, 3) == 212
+
+    @pytest.mark.parametrize("p", oracle.SUPPORTED_PRIMES)
+    def test_matches_gaussian_binomials(self, p):
+        for n in range(5 if p > 3 else 7):
+            expected = sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+            assert count_all_subspaces(n, p) == expected, n
+
+    def test_cap_checked_before_the_module_is_built(self):
+        # A huge n must raise the cap error at once, not build a module of
+        # that dimension first.
+        with pytest.raises(CapExceededError, match="enumeration cap 8 for p=2"):
+            count_all_subspaces(2 * 10**6, 2)
 
 
 class TestGaussianBinomial:
