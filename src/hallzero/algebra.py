@@ -12,12 +12,15 @@ unitriangular back-substitution along the degeneration order, which is
 read only through `_leq_sums`, `moebius_row` and the zeta rows.  A
 Moebius row is computed from the covers of its partition, so a single
 constant term, which compares partial sums of the parts with the
-target's instead of listing an up-set, builds no poset at all.
+target's instead of listing an up-set, builds no poset at all.  Each
+pair of basis factors is folded once per process for constant terms,
+and its folded terms are kept with their partial sums; `h0_multiply`
+folds its general elements on its own.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import add, index, or_
 from typing import Iterable, Mapping
@@ -149,21 +152,27 @@ def _fold(left: Iterable[Term], right: Iterable[Term]) -> dict[tuple[int, ...], 
     return folded
 
 
+@lru_cache(maxsize=None)
+def _pair(left: Partition, right: Partition) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The nonzero folded terms of u_left * u_right in the basis {f_map(s)},
+    each as the partial sums of s with its coefficient: one fold per pair."""
+    folded = _fold(moebius_row(left), moebius_row(right)).items()
+    return tuple((tuple(accumulate(s)), g) for s, g in folded if g)
+
+
 def constant_term(left: Partition, right: Partition, target: Partition) -> int:
     """Constant term of the Hall polynomial for (left, right, target).
 
     This is the coefficient of u_target in u_left * u_right: the sum of
     the folded coefficients on the partitions that degenerate to target.
-    Weight mismatches return 0, matching the grading of the algebra.
+    The pair's folded terms are kept, so each pair is folded once per
+    process.  Weight mismatches return 0, matching the grading of the
+    algebra, and fold nothing.
     """
     if left.weight + right.weight != target.weight:
         return 0
-    sums = tuple(accumulate(target.parts))
-    return sum(
-        g
-        for s, g in _fold(moebius_row(left), moebius_row(right)).items()
-        if _leq_sums(accumulate(s), sums)
-    )
+    target_sums = tuple(accumulate(target.parts))
+    return sum(g for sums, g in _pair(left, right) if _leq_sums(sums, target_sums))
 
 
 def h0_multiply(x: H0Element, y: H0Element) -> H0Element:

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hallzero import algebra
 from hallzero.algebra import (
     H0Element,
+    _fold,
     canonical_key,
     constant_term,
     f_inverse,
@@ -12,6 +14,8 @@ from hallzero.algebra import (
     h0_multiply,
 )
 from hallzero.degeneration import DEFAULT_WEIGHT_CAP, leq_deg, partitions_of, poset_of, up_set
+from hallzero.errors import CapExceededError
+from hallzero.oracle import hall_number
 from hallzero.partitions import ZERO, Partition, parse_partition
 
 P = parse_partition
@@ -174,7 +178,10 @@ class TestConstantTerm:
         assert poset_of.cache_info().currsize == 0
 
     def test_weight_mismatch_is_zero(self):
+        algebra._pair.cache_clear()
         assert constant_term(P("(2)"), P("(1)"), P("(2)")) == 0
+        # A mismatch is answered before the pair is folded or kept.
+        assert algebra._pair.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "a,b",
@@ -195,6 +202,55 @@ class TestConstantTerm:
         assert n > DEFAULT_WEIGHT_CAP
         assert constant_term(a, b, a + b) == 1
         assert constant_term(a, b, Partition((n,))) == 0
+
+    def test_one_fold_per_pair(self, monkeypatch):
+        algebra._pair.cache_clear()
+        folds = []
+
+        def spy(left, right):
+            folds.append(1)
+            return _fold(left, right)
+
+        monkeypatch.setattr(algebra, "_fold", spy)
+        a, b = P("(3,2,1)"), P("(2,2)")
+        for g in ["(5,4,1)", "(4,4,2)", "(5,3,1^2)"]:
+            constant_term(a, b, P(g))
+        assert len(folds) == 1
+
+    def test_same_answer_in_any_call_order(self):
+        # Each pair is asked before its product is taken and again after,
+        # starting from an empty table.
+        algebra._pair.cache_clear()
+        for n in range(7):
+            targets = partitions_of(n)
+            for a, b in basis_pairs(n):
+                before = [constant_term(a, b, g) for g in targets]
+                product = h0_multiply(U(a), U(b))
+                after = [constant_term(a, b, g) for g in targets]
+                expect = [product.coefficient(g) for g in targets]
+                assert before == expect == after, (a, b)
+
+    def test_congruent_to_hall_numbers(self):
+        # Hall polynomials have integer coefficients (Macdonald, Ch. II
+        # §4), so g(p) = g(0) mod p at every prime whose table runs; this
+        # reaches the triples that interpolation reports infeasible.
+        triples = checked = skipped = 0
+        for n in range(7):
+            for a, b in basis_pairs(n):
+                for g in partitions_of(n):
+                    triples += 1
+                    value = constant_term(a, b, g)
+                    for p in (2, 3, 5, 7, 11, 13):
+                        try:
+                            count = hall_number(g, a, b, p)
+                        except CapExceededError:
+                            skipped += 1
+                            continue
+                        checked += 1
+                        assert (value - count) % p == 0, (a, b, g, p)
+        # The skipped (triple, prime) pairs are those past the oracle's
+        # caps; a change to them moves these two counts.
+        assert (triples, checked, skipped) == (1110, 6593, 67)
 
     def test_support_lies_above_generic_extension(self):
         for a in partitions_up_to(6):
