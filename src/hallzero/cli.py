@@ -153,7 +153,7 @@ def _cmd_example(args: argparse.Namespace) -> int:
     for i, (left_text, right_text, targets) in enumerate(EXAMPLE_STEPS, start=1):
         left = parse_partition(left_text)
         right = parse_partition(right_text)
-        product = h0_multiply(H0Element.basis(left), H0Element.basis(right))
+        product = _h0mul(left, right)
         values = [(t, constant_term(left, right, parse_partition(t))) for t in targets]
         steps.append(
             {

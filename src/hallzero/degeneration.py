@@ -5,16 +5,17 @@ conjugate of lam is bounded by the corresponding prefix sum of the
 conjugate of nu.  Conjugation reverses the dominance order (Macdonald,
 Symmetric Functions and Hall Polynomials, Ch. I, (1.11)), so this is the
 same as: no partial sum nu_1 + ... + nu_k of the parts of nu exceeds the
-partial sum lam_1 + ... + lam_k of lam.  The code uses only that
-partial-sum form; under it the generic extension a + b is the sum of
-partial-sum vectors.
+partial sum lam_1 + ... + lam_k of lam.  Two partitions are compared
+only in that partial-sum form (`leq_deg`); under it the generic
+extension a + b is the sum of partial-sum vectors.
 
-For each weight n the poset of all partitions of n is built from n
-alone, with its zeta matrix as one int bitset per row (the same rows the
-disk cache writes in hex).  A row of the Moebius function needs no
-poset: `moebius_row(lam)` is computed from the covers of lam alone, since
-the join of two partitions is the pointwise minimum of their partial
-sums (Brylawski, The lattice of integer partitions, 1973).
+Every poset structure comes from the covers of Brylawski's rule (The
+lattice of integer partitions, 1973; see `_covers`).  The poset of
+weight n is built from n alone; its zeta matrix is one int bitset per
+row (the rows the disk cache writes in hex), each the closure of the
+covers, and its Hasse edges are the covers.  `moebius_row(lam)` needs no
+poset: it reads the covers of lam alone, since the join of two
+partitions is the pointwise minimum of their partial sums.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, compress
-from operator import and_, ge, index
+from operator import ge, index
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError
@@ -61,24 +62,26 @@ def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, in descending lexicographic order.  n goes
     through operator.index, so a float or a string raises TypeError; a
     negative n raises ValueError and one above DEFAULT_WEIGHT_CAP raises
-    CapExceededError."""
+    CapExceededError.  The parts come from a recursion over (remaining
+    weight, largest part), memoized for this call only."""
     n = index(n)
     if n < 0:
         raise ValueError("weight must be non-negative")
     _check_cap(n)
-    out: list[Partition] = []
 
-    def emit(remaining: int, largest: int, prefix: list[int]) -> None:
+    @lru_cache(maxsize=None)
+    def tails(remaining: int, largest: int) -> tuple[tuple[int, ...], ...]:
         if remaining == 0:
-            out.append(Partition(tuple(prefix)))
-            return
-        for v in range(min(remaining, largest), 0, -1):
-            prefix.append(v)
-            emit(remaining - v, v, prefix)
-            prefix.pop()
+            return ((),)
+        return tuple(
+            (v,) + rest
+            for v in range(min(remaining, largest), 0, -1)
+            for rest in tails(remaining - v, v)
+        )
 
-    emit(n, n, [])
-    return out
+    partitions = [Partition(parts) for parts in tails(n, n)]
+    tails.cache_clear()  # tails refers to itself: free the memo now, not at a GC pass
+    return partitions
 
 
 class DegPoset:
@@ -89,16 +92,16 @@ class DegPoset:
     to element j, that is, when element i dominates element j.  Dominance
     implies lexicographic order (Macdonald, Ch. I §1), so the element order
     extends the degeneration order and the zeta matrix is upper
-    unitriangular.  The poset serves up-sets and Hasse edges; Moebius rows
-    come from `moebius_row`, which needs no poset.
+    unitriangular.  Its zeta rows and Hasse edges come from the covers;
+    Moebius rows come from `moebius_row`, which needs no poset.
     The weight n is checked as in `partitions_of`.
     """
 
     def __init__(self, n: int):
         self.n = n = index(n)  # operator.index, not the method below
         self.elements = tuple(partitions_of(n))
-        self.zeta = _zeta_rows(self.elements, n)
         self._index = {p.parts: i for i, p in enumerate(self.elements)}
+        self.zeta = _zeta_rows(self.elements, self._index)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -131,26 +134,22 @@ def _covers(lam: Partition) -> list[tuple[int, ...]]:
     (The lattice of integer partitions, 1973) describes: nu covers lam
     exactly when nu is lam with one box moved from row i down to a row
     j > i, where j = i + 1 or lam_i = lam_j + 2."""
-    rows = lam.parts + (0,)
+    parts = lam.parts
+    rows = parts + (0,)
     covers = []
-    # Only the last row of a run of equal parts can give up a box.
-    for i in range(len(lam)):
+    # Only the last row i of a run of parts above 1 gives up a box.  The
+    # runs go bottom up: a box from a later row leaves the earlier parts
+    # whole, so that cover comes first in descending lexicographic order.
+    i = len(parts) - parts.count(1) - 1
+    while i >= 0:
         a = rows[i]
-        if a < 2 or rows[i + 1] == a:
-            continue
-        # Past the rows equal to a - 1, j is the first row the box can
-        # land in: right below i, or one of value a - 2.
-        j = i + 1
-        while rows[j] == a - 1:
-            j += 1
+        # The box can only land in j, the first row past those equal to a - 1.
+        j = i + 1 + parts.count(a - 1)
         if j == i + 1 or rows[j] == a - 2:
-            nu = list(rows)
-            nu[i] -= 1
-            nu[j] += 1
-            covers.append(tuple(filter(None, nu)))
-    # A box taken from a later row leaves the earlier parts whole, so that
-    # cover comes first in descending lexicographic order.
-    return covers[::-1]
+            nu = parts[:i] + (a - 1,) + parts[i + 1 : j]
+            covers.append(nu + (rows[j] + 1,) + parts[j + 1 :])
+        i = parts.index(a) - 1
+    return covers
 
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
@@ -163,23 +162,17 @@ def _select(items: Sequence, bits: int) -> list:
     return list(compress(items, bin(bits)[:1:-1].encode().translate(_DIGIT_VALUES)))
 
 
-def _zeta_rows(elements: Sequence[Partition], n: int) -> tuple[int, ...]:
-    # Only the partial sums before the last part vary: the last is n.
-    sums = [tuple(accumulate(p.parts))[:-1] for p in elements]
-    # at_most[c][v]: bitset of the elements whose c-th partial sum is at
-    # most v < n; row i is their AND at element i's own partial sums.
-    at_most = [[0] * n for _ in range(n)]
-    for j, s in enumerate(sums):
-        for bits, v in zip(at_most, s):
-            bits[v] |= 1 << j
-    for bits in at_most:
-        for v in range(1, n):
-            bits[v] |= bits[v - 1]
-    everything = (1 << len(elements)) - 1
-    return tuple(
-        reduce(and_, (bits[v] for bits, v in zip(at_most, s)), everything)
-        for s in sums
-    )
+def _zeta_rows(elements: Sequence[Partition], at: dict) -> tuple[int, ...]:
+    """Row i is bit i OR the rows of element i's covers (an up-set is its
+    least element and the up-sets of that element's covers).  Covers come
+    later in element order, so walking backwards finds their rows built."""
+    rows = [0] * len(elements)
+    for i in reversed(range(len(elements))):
+        row = 1 << i
+        for nu in _covers(elements[i]):
+            row |= rows[at[nu]]
+        rows[i] = row
+    return tuple(rows)
 
 
 def build_poset(n: int, cache_dir: str | None = None) -> DegPoset:

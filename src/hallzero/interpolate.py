@@ -36,10 +36,10 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        coeffs = tuple(map(index, coeffs))
+        coeffs = list(map(index, coeffs))
         while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+            coeffs.pop()
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to {name!r}: IntPoly is immutable")
@@ -56,7 +56,7 @@ class IntPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.coeffs,))
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"IntPoly(coeffs={self.coeffs!r})"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import chain, groupby, repeat
 from operator import add, index
-from typing import Iterable, Iterator
+from typing import Iterable
 
 # Bound on the weight, so no input asks for an unbounded list of parts.
 MAX_WEIGHT = 2**20
@@ -50,10 +50,10 @@ class Partition:
     partition.  Input that is not weakly decreasing is rejected rather
     than sorted; use :meth:`from_multiset` to sort an arbitrary multiset
     of parts explicitly.  Instances are immutable and hashable, and equal
-    only to partitions.
+    only to partitions.  The weight is summed once, at construction.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "weight")
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
         parts = tuple(map(index, parts))
@@ -64,11 +64,12 @@ class Partition:
                 raise ValueError(
                     f"parts not weakly decreasing: {parts[i - 1]} < {value} at index {i}"
                 )
-        if sum(parts) > MAX_WEIGHT:
-            raise ValueError(f"weight {sum(parts)} exceeds the bound {MAX_WEIGHT}")
+        weight = sum(parts)
+        if weight > MAX_WEIGHT:
+            raise ValueError(f"weight {weight} exceeds the bound {MAX_WEIGHT}")
         # The parts decrease weakly, so the zeros are a suffix.
-        parts = parts[: len(parts) - parts.count(0)]
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "parts", parts[: len(parts) - parts.count(0)])
+        object.__setattr__(self, "weight", weight)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to {name!r}: Partition is immutable")
@@ -85,16 +86,12 @@ class Partition:
         return self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash((self.parts,))
+        return hash(self.parts)
 
     @classmethod
     def from_multiset(cls, values: Iterable[int]) -> "Partition":
         """Build a partition from parts given in any order."""
         return cls(tuple(sorted(values, reverse=True)))
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram: entry i counts parts >= i+1.
@@ -120,30 +117,16 @@ class Partition:
         """Merge of the two multisets of parts, sorted descending."""
         return Partition.from_multiset(self.parts + other.parts)
 
-    def exponent_form(self) -> str:
+    def __str__(self) -> str:
         """Canonical text form, e.g. (3^2,2^3,1^4); the zero partition is ()."""
-        if not self.parts:
-            return "()"
         terms = []
         for value, run in groupby(self.parts):
             count = len(list(run))
             terms.append(f"{value}^{count}" if count > 1 else f"{value}")
         return "(" + ",".join(terms) + ")"
 
-    def __str__(self) -> str:
-        return self.exponent_form()
-
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
 
     def __bool__(self) -> bool:
         return bool(self.parts)

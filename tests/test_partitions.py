@@ -96,8 +96,14 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             del p.parts
         with pytest.raises(AttributeError):
+            p.weight = 4
+        with pytest.raises(AttributeError):
+            del p.weight
+        with pytest.raises(AttributeError):
             p.extra = 1
-        assert p.parts == (2, 1) and pickle.loads(pickle.dumps(p)) == p
+        assert p.parts == (2, 1) and p.weight == 3
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and copy.weight == 3
 
 
 class TestWeight:
