@@ -27,13 +27,20 @@ types, as Hall numbers are isomorphism invariants (Macdonald, Ch. II).
 So the searches that count place the rows below the top one up to T:
 one partial basis per orbit, with the size of its orbit as its weight.
 The stream, which lists every basis, searches without T.
+
+M(lambda) is N + S, S = F_p^m spanned by its m blocks of size 1, on which
+the operator is 0, and N by the others.  A submodule U is the graph over
+U_N = pi_N(U) of a map f: U_N -> S/K, K = U cap S, that kills T U_N, and
+its types follow from U_N's, dim K and the ranks of f on the U_N cap T^j N.
+So a Hall table walks only N and counts the (K, f) (`_type_tables`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, product, repeat
-from operator import index
+from math import prod
+from operator import add, index
 from typing import Iterator
 
 from .errors import CapExceededError
@@ -42,7 +49,7 @@ from .partitions import ZERO, Partition
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 SMALL_PRIME_WEIGHT_CAP = 8  # p in {2, 3}
 LARGE_PRIME_WEIGHT_CAP = 6  # p >= 5
-MAX_LEAVES = 2**24  # bases one walk (one shape, k and p) may yield
+MAX_LEAVES = 2**24  # bases one walk, or submodules one Hall table, may count
 
 Row = tuple[int, ...]
 
@@ -247,6 +254,13 @@ def _bases(gens: list[Row], comp: tuple[int, ...], p: int) -> int:
     return _orbit_size(comp, p) * p ** len(gens)
 
 
+def _over_budget(shape: Partition, k: int, p: int) -> CapExceededError:
+    return CapExceededError(
+        f"the walk of the dimension-{k} submodules of M{shape} "
+        f"over F_{p} passes the leaf budget of {MAX_LEAVES} bases"
+    )
+
+
 def _invariant_bases(
     module: JordanModule, k: int, torus: bool = True
 ) -> Iterator[tuple[tuple[Row, ...], tuple[int, ...], tuple[Row, list[Row]], tuple[int, ...]]]:
@@ -300,10 +314,7 @@ def _invariant_bases(
             elif space:
                 leaves += _bases(space[1], comp, p)
                 if leaves > MAX_LEAVES:
-                    raise CapExceededError(
-                        f"the walk of the dimension-{k} submodules of M{module.shape} "
-                        f"over F_{p} passes the leaf budget of {MAX_LEAVES} bases"
-                    )
+                    raise _over_budget(module.shape, k, p)
                 yield below, (c,) + pivots, space, comp
 
     if k < 1:
@@ -330,14 +341,139 @@ def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[tuple[Row, .
     return chain([()], leaves)
 
 
-def _moved(ranks: tuple[int, ...], column: int, box: int) -> Partition:
-    """The partition whose conjugate is the consecutive differences of
-    `ranks`, those of T^0, T^1, ... for a nilpotent T up to an added
-    constant, with `box` (1 or -1) added in column `column`, counted
-    from 1."""
-    conj = [a - b for a, b in zip(ranks, ranks[1:])]
-    conj[column - 1] += box
-    return Partition(tuple(conj)).conjugate()
+@lru_cache(maxsize=None)
+def _type(ranks: tuple[int, ...]) -> Partition:
+    """The type of a nilpotent T with rank T^j = ranks[j], 0 past them."""
+    return Partition(tuple(a - b for a, b in zip(ranks, ranks[1:] + (0,)))).conjugate()
+
+
+def _tally(module: JordanModule, k: int) -> dict[tuple, int]:
+    """The invariant dimension-k subspaces U of `module` counted by three
+    tuples over j = 0, ..., L, L the longest block: rank T^j(V/U), rank
+    T^j U and delta_j(U) = dim U - dim TU - rank(U on depth < j) + rank(TU
+    on depth < j), the dimension of the image of U cap T^j V in U/TU.
+
+    A batch of the walk is an invariant (k - 1)-subspace W, spanned by
+    the rows below, and the affine space A of its top rows.  U = W + <top>
+    has W's tuples moved by three flags of the top row: h = max{h : top
+    in S_h = T^h V + W}, as dim(T^j V + U) = dim(T^j V + W) + [j > h];
+    i = min{i : top in K_i = W + ker T^i}, as rank T^j U = rank T^j W +
+    [j < i]; and g = max{g <= L : T top in TW + T^g V}, as rank(TU on
+    depth < j) = rank(TW on depth < j) + [j > g], so delta_j(U) =
+    delta_j(W) + [i = 1] - [j > h] + [j > g].  T^h V is spanned by the
+    coordinates of depth >= h, T^i is one to one on those of room >= i
+    and zero on the rest, and T^-1(T^g V) = T^(g-1) V + ker T; so top lies
+    in S_h, K_i or G_g = W + T^(g-1) V + ker T when it agrees with a vector
+    of W on the coordinates of depth < h, of room >= i, or of depth < g - 1
+    and room > 0.  T maps the last onto those of depth in [1, g), so W's
+    rank on them is TW's on depth < g.  W's echelon bases on these sets,
+    made once per W, give its tuples and reduce A's rows.
+
+    A top row with pivot c has h <= depth[c] and i > room[c], and lies in
+    K_i once T^(i-1) W = 0; only those flag pairs are counted.  The top
+    rows in S_h, K_i and G_g number 0 or p^(d - r), r the rank of A's d
+    generators reduced there, and a flag pair's count is an inclusion-
+    exclusion of four such numbers, then parted by g, which the walk
+    never reads: g > h, as S_h lies in G_(h+1); g = L when i = 1, as K_1 =
+    G_L; otherwise g < L, and g <= depth[c] + 1 if room[c] > 0, as T top
+    is 1 at c + 1, where TW and larger T^g V vanish."""
+    n, p, depth, room = module.dim, module.p, module.depth, module.room
+    longest = module.shape.parts[0] if n else 0
+    shallow = [[x for x in range(n) if depth[x] < j] for j in range(longest + 1)]
+    shifted = [[x for x in range(n) if room[x] >= j] for j in range(longest + 1)]
+    tied = [[x for x in range(n) if room[x] and depth[x] < j - 1] for j in range(longest + 1)]
+    zeros = (0,) * (longest + 1)
+    if k == 0:  # the zero submodule alone
+        return {(tuple(n - len(s) for s in shallow), zeros, zeros): 1}
+    counts: dict[tuple, int] = {}
+    last = None
+    for below, pivots, (base, gens), comp in _invariant_bases(module, k):
+        if below is not last:
+            last, weight = below, _orbit_size(comp, p)
+            # At j = 0 and longest a set is empty or whole, where below is W's.
+            whole = list(zip(pivots[1:], below))
+            on = [
+                [_echelon([[v[x] for x in s] for v in below], p) for s in sets[1:-1]]
+                for sets in (shallow, shifted, tied)
+            ]
+            # tied[longest] is shifted[1], the coordinates of room > 0
+            on_shallow, on_shifted = [[], *on[0], whole], [whole, *on[1], []]
+            on_tied = [[], *on[2], on_shifted[1]]
+            # dim(T^j V + W) - k and rank T^j W, for j = 0, ..., longest
+            quo = tuple(n - k - len(s) + len(e) for s, e in zip(shallow, on_shallow))
+            sub = tuple(map(len, on_shifted))
+            nil = sub.index(0)  # T^nil W = 0
+            rows = zip(on_shallow, on_tied)
+            deltas = tuple(k - 1 - sub[1] - len(a) + len(b) for a, b in rows)
+
+        def size(h: int, i: int, g: int = 0) -> int:
+            """The number of top rows in S_h, K_i and G_g."""
+            checks = [(shallow[h], on_shallow[h])] if h else []
+            checks += [(shifted[i], on_shifted[i])] if i <= nil else []
+            checks += [(tied[g], on_tied[g])] if g else []
+            if not checks:
+                return p ** len(gens)
+            res = [
+                [e for cols, ech in checks for e in _reduce([v[x] for x in cols], ech, p)]
+                for v in (base, *gens)
+            ]
+            ech = _echelon(res[1:], p)
+            return 0 if any(_reduce(res[0], ech, p)) else p ** (len(gens) - len(ech))
+
+        def within(h: int, i: int, g: int) -> int:
+            """The number of top rows with flags h and i in G_g, g > h + 1."""
+            return sum(
+                s * (size(a, b, g) if g > a + 1 and (a, b) in grid else grid.get((a, b), 0))
+                for a, b, s in ((h, i, 1), (h + 1, i, -1), (h, i - 1, -1), (h + 1, i - 1, 1))
+            )
+
+        c = pivots[0]
+        reach = range(room[c] + 1, min(nil + 1, longest) + 1)
+        grid = {(h, i): size(h, i) for h in range(depth[c] + 1) for i in reach}
+        top = depth[c] + 1 if room[c] else longest - 1
+        for (h, i), x in grid.items():
+            x -= grid.get((h + 1, i), 0) + grid.get((h, i - 1), 0)
+            x += grid.get((h + 1, i - 1), 0)
+            if not x:
+                continue
+            # The x rows in G_g for g = h + 1, ..., top, and then none
+            ends = range(h + 2, top + 1) if i > 1 else ()
+            ins = [x, *(within(h, i, g) for g in ends), 0]
+            first = longest if i == 1 else h + 1
+            for g, (y, z) in enumerate(zip(ins, ins[1:]), first):
+                if y > z:
+                    key = (quo, sub, deltas), h, i, g
+                    counts[key] = counts.get(key, 0) + (y - z) * weight
+    tally: dict[tuple, int] = {}
+    for ((quo, sub, deltas), h, i, g), count in counts.items():
+        deltas = tuple(x + (i == 1) - (j > h) + (j > g) for j, x in enumerate(deltas))
+        quo = tuple(r + (j > h) for j, r in enumerate(quo))
+        key = quo, tuple(r + (j < i) for j, r in enumerate(sub)), deltas
+        tally[key] = tally.get(key, 0) + count
+    return tally
+
+
+@lru_cache(maxsize=None)
+def _maps(deltas: tuple[int, ...], w: int, p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The linear maps f from E_0 to F_p^w counted by their ranks on a flag
+    E_0 >= E_1 >= ... of dimensions `deltas`, the last 0: pairs ((w, rank
+    f|E_1, rank f|E_2, ...), count).  f is built from the last E_j up: on
+    E_j it extends f|E_(j+1), of rank r, over a complement of dimension a =
+    dim E_j - dim E_(j+1), and raises the rank by s in p^(ar) [w - r, s]_p
+    prod_(t<s) (p^a - p^t) ways, values in f(E_(j+1)) times rank-s maps
+    to F_p^w / f(E_(j+1)).  Off E_1 it is free: p^(w dim E_0/E_1) ways."""
+    flag = deltas + (0,)
+    maps: dict[tuple[int, ...], int] = {(): 1}
+    for j in range(len(deltas) - 1, 0, -1):
+        a, grown = flag[j] - flag[j + 1], {}
+        for ranks, count in maps.items():
+            r = ranks[0] if ranks else 0
+            for s in range(min(a, w - r) + 1):
+                ways = p ** (a * r) * gaussian_binomial(w - r, s, p)
+                grown[(r + s, *ranks)] = count * ways * prod(p**a - p**t for t in range(s))
+        maps = grown
+    free = p ** (w * (flag[0] - flag[1]))
+    return tuple(((w, *ranks), count * free) for ranks, count in maps.items())
 
 
 @lru_cache(maxsize=None)
@@ -345,7 +481,7 @@ def _type_tables(
     shape: Partition, k: int, p: int
 ) -> dict[tuple[Partition, Partition], int]:
     """Tally of (quotient type, subspace type) over all invariant
-    dimension-k subspaces U of the module of the given shape.
+    dimension-k subspaces U of the module V of the given shape.
 
     Only the tables with 2k <= n are enumerated.  The dual of M(shape) is
     isomorphic to M(shape), and U -> U^perp, the annihilator of U in the
@@ -356,84 +492,46 @@ def _type_tables(
     table is the (n - k) table with its two types swapped; a k above n
     still gives the empty table of an empty walk.
 
-    A batch of the walk is an invariant (k - 1)-subspace W, spanned by
-    the rows below, and the affine space A of its top rows.  The types of
-    U = W + <top> follow from the ranks of the powers of T on U and on
-    V/U, and so from W and two flags of the top row: h = max{h : top in
-    S_h = T^h V + W}, as dim(T^j V + U) = dim(T^j V + W) + [j > h], and
-    i = min{i : top in K_i = W + ker T^i}, as rank T^j U = rank T^j W +
-    [j < i].  T^h V is spanned by the coordinates of depth >= h, and T^i
-    is one to one on those of room >= i and zero on the rest; so top
-    lies in S_h, or K_i, when it agrees with a vector of W on the
-    coordinates of depth < h, or of room >= i.  W's echelon bases on
-    these sets, made once per W, give its ranks and reduce A's rows.
+    V = N + S, S = F_p^m spanned by the m blocks of size 1, on which T =
+    0, and N by the others.  A submodule U gives U_N = pi_N(U), a
+    submodule of N, K = U cap S and the linear map f: U_N -> S/K with U =
+    {x + s : x in U_N, s + K = f(x)}, well defined as U cap S = K; T(x +
+    s) = Tx lies in U exactly when f(Tx) = 0.  So U -> (U_N, K, f) is one
+    to one onto the triples with f(T U_N) = 0, and only N is walked, in
+    each dimension k - d, d = dim K.  T^j U = T^j U_N for j >= 1, so U's
+    type is U_N's with d parts 1 added.  T^j V cap U is the x in U_N cap
+    T^j N with f(x) = 0, so rank T^j(V/U) = rank T^j(N/U_N) + rank(f on
+    U_N cap T^j N) for j >= 1, and dim V/U = dim N/U_N + m - d.  f is a map
+    from U_N/TU_N, where U_N cap T^j N has an image of dimension delta_j
+    (`_tally`); `_maps` counts the maps by their ranks on that flag, and K
+    takes [m, d]_p values.  A shape with no part 1 has S = 0 and walks
+    exactly as without the split.
 
-    A top row with pivot c has h <= depth[c] and i > room[c], and lies
-    in K_i once T^(i-1) W = 0; only those flag pairs are counted.  The
-    top rows in S_h and K_i number 0 or p^(d - r), r the rank of A's d
-    generators reduced there, and a flag pair's count is an
-    inclusion-exclusion of four such numbers.  The counts are tallied by
-    W's ranks and the flags, and each key becomes its two types once, by
-    the box rule those identities state (Macdonald, Ch. II): the
-    consecutive differences of W's two rank tuples are the conjugates of
-    W's type and of V/W's, and U's type is W's with one box added in
-    column i, V/U's is V/W's with one box removed in column h + 1.
-
-    A walk past the leaf budget of `_invariant_bases` raises
-    CapExceededError, and no table is kept for it."""
+    A table whose walk, or whose total, passes the leaf budget of
+    `_invariant_bases` raises CapExceededError naming this shape and k,
+    and no table is kept for it."""
     n = shape.weight
     if k == 0:  # the zero submodule alone
         return {(shape, ZERO): 1}
     if n >= k > n - k:
         return {(sub, quo): c for (quo, sub), c in _type_tables(shape, n - k, p).items()}
-    module = JordanModule(shape, p)
-    depth, room, longest = module.depth, module.room, shape.parts[0]
-    shallow = [[x for x in range(n) if depth[x] < j] for j in range(longest + 1)]
-    shifted = [[x for x in range(n) if room[x] >= j] for j in range(longest + 1)]
-    counts: dict[tuple, int] = {}
-    last = None
-    for below, pivots, (base, gens), comp in _invariant_bases(module, k):
-        if below is not last:
-            last, weight = below, _orbit_size(comp, p)
-            # At j = 0 and longest a set is empty or whole, where below is W's.
-            whole = list(zip(pivots[1:], below))
-            on_shallow, on_shifted = (
-                [_echelon([[v[x] for x in s] for v in below], p) for s in sets[1:-1]]
-                for sets in (shallow, shifted)
-            )
-            on_shallow, on_shifted = [[], *on_shallow, whole], [whole, *on_shifted, []]
-            # dim(T^j V + W) - k and rank T^j W, for j = 0, ..., longest
-            ranks = (
-                tuple(n - k - len(s) + len(e) for s, e in zip(shallow, on_shallow)),
-                tuple(map(len, on_shifted)),
-            )
-            nil = ranks[1].index(0)  # T^nil W = 0
-
-        def size(h: int, i: int) -> int:
-            """The number of top rows in S_h and K_i."""
-            checks = [(shallow[h], on_shallow[h])] if h else []
-            checks += [(shifted[i], on_shifted[i])] if i <= nil else []
-            if not checks:
-                return p ** len(gens)
-            res = [
-                [e for cols, ech in checks for e in _reduce([v[x] for x in cols], ech, p)]
-                for v in (base, *gens)
-            ]
-            ech = _echelon(res[1:], p)
-            return 0 if any(_reduce(res[0], ech, p)) else p ** (len(gens) - len(ech))
-
-        c = pivots[0]
-        reach = range(room[c] + 1, min(nil + 1, longest) + 1)
-        grid = {(h, i): size(h, i) for h in range(depth[c] + 1) for i in reach}
-        for (h, i), m in grid.items():
-            m -= grid.get((h + 1, i), 0) + grid.get((h, i - 1), 0)
-            m += grid.get((h + 1, i - 1), 0)
-            if m:
-                counts[ranks, h, i] = counts.get((ranks, h, i), 0) + m * weight
+    m = shape.parts.count(1)
+    rest = JordanModule(Partition(shape.parts[: len(shape.parts) - m]), p)
+    dims = range(max(0, k - rest.dim), min(k, m) + 1)  # d = dim K
+    try:
+        tallies = [(d, _tally(rest, k - d)) for d in dims]
+    except CapExceededError:
+        raise _over_budget(shape, k, p) from None
     table: dict[tuple[Partition, Partition], int] = {}
-    for ((quo_ranks, sub_ranks), h, i), count in counts.items():
-        key = _moved(quo_ranks, h + 1, -1), _moved(sub_ranks, i, 1)
-        table[key] = table.get(key, 0) + count
+    for d, tally in tallies:
+        spaces = gaussian_binomial(m, d, p)  # the choices of K
+        for (quo, sub, deltas), count in tally.items():
+            sub_type = _type((sub[0] + d, *sub[1:]))
+            for added, maps in _maps(deltas, m - d, p):
+                key = _type(tuple(map(add, quo, added))), sub_type
+                table[key] = table.get(key, 0) + count * spaces * maps
+    if sum(table.values()) > MAX_LEAVES:
+        raise _over_budget(shape, k, p)
     return table
 
 

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import time
@@ -120,9 +121,8 @@ def joint_table(outer, p):
     return table
 
 
-def walk_calls(monkeypatch, outer, k, p):
-    """The `_rows_with_pivot` calls that the walk of the dimension-k table
-    of `outer` over F_p makes, and the table."""
+def spied_calls(monkeypatch, run):
+    """The `_rows_with_pivot` calls made while `run()` runs, and its result."""
     calls = []
     solve = oracle._rows_with_pivot
 
@@ -130,14 +130,33 @@ def walk_calls(monkeypatch, outer, k, p):
         calls.append(args)
         return solve(*args)
 
-    oracle._type_tables.cache_clear()
     monkeypatch.setattr(oracle, "_rows_with_pivot", spy)
     try:
-        table = oracle._type_tables(outer, k, p)
+        return calls, run()
+    finally:
+        monkeypatch.undo()
+
+
+def walk_calls(monkeypatch, outer, k, p):
+    """The `_rows_with_pivot` calls that the torus walk of the dimension-k
+    submodules of M(outer) itself makes, and the bases its batches stand for."""
+    module = JordanModule(outer, p)
+    return spied_calls(
+        monkeypatch,
+        lambda: sum(
+            oracle._bases(gens, comp, p) for _, _, (_, gens), comp in _invariant_bases(module, k)
+        ),
+    )
+
+
+def table_calls(monkeypatch, outer, k, p):
+    """The `_rows_with_pivot` calls that building the dimension-k table of
+    `outer` over F_p makes, and the table."""
+    oracle._type_tables.cache_clear()
+    try:
+        return spied_calls(monkeypatch, lambda: oracle._type_tables(outer, k, p))
     finally:
         oracle._type_tables.cache_clear()
-        monkeypatch.undo()
-    return calls, table
 
 
 def assert_dim_tables_match_joint(p, dims):
@@ -352,8 +371,9 @@ class TestHallNumbers:
             hall_number(P("(1^7)"), P("(1^3)"), P("(1^4)"), 7)
 
     def test_leaf_budget(self, monkeypatch):
-        # Each table's walk is bounded by the bases it reaches, not only by
-        # the weight; a walk past the budget leaves no table behind.
+        # Each table is bounded by the submodules it counts, not only by
+        # the weight: (1^4) walks nothing, as it has no block of size >= 2,
+        # but a total past the budget raises and leaves no table behind.
         oracle._type_tables.cache_clear()
         monkeypatch.setattr(oracle, "MAX_LEAVES", 100)
         try:
@@ -371,11 +391,9 @@ class TestHallNumbers:
         # row and trying every top pivot under it takes 2,582 calls here,
         # listing the followed ones without the torus 392, and with it 23.
         outer = P("(2,1^3)")
-        calls, table = walk_calls(monkeypatch, outer, 2, 13)
+        calls, bases = walk_calls(monkeypatch, outer, 2, 13)
         assert len(calls) <= 30
-        assert sum(table.values()) == sum(
-            submodule_count(outer, nu, 13) for nu in partitions_of(2)
-        )
+        assert bases == sum(submodule_count(outer, nu, 13) for nu in partitions_of(2))
 
     def test_walk_lists_one_lower_row_per_torus_orbit(self, monkeypatch):
         # (2,1^4) has five blocks, so a lower row with entries in several
@@ -383,11 +401,45 @@ class TestHallNumbers:
         # that some top row can follow takes 67,762 calls here, and one row
         # per torus orbit 145.
         outer = P("(2,1^4)")
-        calls, table = walk_calls(monkeypatch, outer, 3, 13)
+        calls, bases = walk_calls(monkeypatch, outer, 3, 13)
         assert len(calls) <= 200
+        assert bases == sum(submodule_count(outer, nu, 13) for nu in partitions_of(3))
+
+    def test_tables_walk_only_the_blocks_above_one(self, monkeypatch):
+        # M = N + S, S the blocks of size 1: the table of (2,1^5) walks
+        # only N = (2) and counts the rest of its 1,891 submodules.
+        outer = P("(2,1^5)")
+        calls, table = table_calls(monkeypatch, outer, 3, 2)
+        assert {module.shape for module, _, _ in calls} == {P("(2)")}
         assert sum(table.values()) == sum(
-            submodule_count(outer, nu, 13) for nu in partitions_of(3)
-        )
+            submodule_count(outer, nu, 2) for nu in partitions_of(3)
+        ) == 1891
+
+    def test_shape_without_ones_walks_unsplit(self, monkeypatch):
+        # No block of size 1, so nothing is split off: the table walks
+        # M itself, in exactly the 32 calls it took before the split.
+        calls, table = table_calls(monkeypatch, P("(4,2)"), 3, 3)
+        assert len(calls) == 32
+        assert {module.shape for module, _, _ in calls} == {P("(4,2)")}
+        assert sum(table.values()) == 13
+
+    def test_leaf_budget_on_the_split(self, monkeypatch):
+        # Both raise naming M and the walked dimension: (2,1^3) has 157
+        # dimension-2 submodules at p = 3, though its walks of N = (2)
+        # yield one basis each; the dimension-2 walk of N = (2^2) inside
+        # the dimension-3 table of (2^2,1^2) yields 13 bases itself.
+        oracle._type_tables.cache_clear()
+        monkeypatch.setattr(oracle, "MAX_LEAVES", 10)
+        try:
+            for shape, k in (("(2,1^3)", 2), ("(2^2,1^2)", 3)):
+                budget = rf"dimension-{k} submodules of M{re.escape(shape)} .* budget of 10"
+                with pytest.raises(CapExceededError, match=budget):
+                    hall_number_table(P(shape), 3, dim=k)
+            monkeypatch.undo()
+            assert sum(hall_number_table(P("(2,1^3)"), 3, dim=2).values()) == 157
+            assert sum(hall_number_table(P("(2^2,1^2)"), 3, dim=3).values()) == 508
+        finally:
+            oracle._type_tables.cache_clear()
 
     @pytest.mark.parametrize(
         "shape,k", [("(2,1^3)", 2), ("(2,2,1)", 2), ("(1^4)", 2), ("(2,1^4)", 3)]
@@ -404,8 +456,10 @@ class TestHallNumbers:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_walked_half_matches_leaf_by_leaf(self, p):
-        # The tables with 2k <= n are walked in batches whose top rows are
-        # counted by two flags; each must equal the tally built leaf by leaf.
+        # The tables with 2k <= n walk the blocks of size >= 2 in batches
+        # whose top rows are counted by their flags, and count the blocks
+        # of size 1 in closed form; each must equal the tally built leaf
+        # by leaf.
         assert_dim_tables_match_joint(p, lambda n: range(n // 2 + 1))
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -430,13 +484,13 @@ class TestHallNumbers:
         "p,max_weight", [(2, 6), (3, 6), (5, 6), (7, 6), (11, 5), (13, 5)]
     )
     def test_marginals_match_birkhoff(self, p, max_weight):
-        # At weight 6 this reaches the lower rows the walk leaves unlisted
-        # when no top row can follow them: (2,1^4), (2,2,1,1) and (1^6).
+        # At weight 6 this reaches (2,1^4) and (2,2,1,1), whose tables walk
+        # only (2) and (2,2), and (1^6), whose tables walk nothing.
         for n in range(max_weight + 1):
             for outer in partitions_of(n):
                 for k in range(n + 1):
-                    # The walk of dimension min(k, n - k) counts every basis
-                    # it yields, and raises once they pass the leaf budget.
+                    # The table of dimension min(k, n - k) counts every
+                    # submodule, and raises once they pass the leaf budget.
                     walked = min(k, n - k)
                     bases = sum(submodule_count(outer, nu, p) for nu in partitions_of(walked))
                     if bases > oracle.MAX_LEAVES:
@@ -467,10 +521,18 @@ class TestHallNumbers:
     def test_joint_tables_at_large_primes(self, p, shapes):
         # At these primes a batch holds up to hundreds of top rows, which are
         # counted, not listed; the tables must equal one built leaf by leaf.
-        # Most of (2,1^3)'s batches split their top rows between two flag pairs.
+        # (2,1^3) and (2,1,1) walk only (2), and (1^4) and (1^3) nothing.
         for text in shapes:
             outer = P(text)
             assert hall_number_table(outer, p) == joint_table(outer, p), text
+
+    @pytest.mark.parametrize("shape,p", [("(3,1^3)", 3), ("(3,1^2)", 5), ("(3,2,1)", 5)])
+    def test_split_tables_match_leaf_by_leaf(self, shape, p):
+        # Each count of a walked submodule of N = (3) or (3,2) expands over
+        # the subspaces K of the blocks of size 1 and the maps f by their
+        # ranks; the tables must equal one built leaf by leaf.
+        outer = P(shape)
+        assert hall_number_table(outer, p) == joint_table(outer, p)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_table_totals_match_enumeration(self, p):
