@@ -20,10 +20,10 @@ folds its general elements on its own.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import add, index, or_
-from typing import Iterable, Mapping
 
 from .degeneration import _leq_sums, _select, moebius_row, poset_of, up_set
 from .partitions import Partition

@@ -221,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-weight",
         type=int,
         default=5,
-        help="bound for all checks (default 5; 6 to 8 take about 0.2 to 0.6 s; "
+        help="bound for all checks (default 5; 6 to 8 take about 0.15 to 0.35 s; "
         "above 8 exits 3)",
     )
 

@@ -58,16 +58,29 @@ def _check_cap(n: int) -> None:
         )
 
 
-def partitions_of(n: int) -> list[Partition]:
-    """All partitions of n, in descending lexicographic order.  n goes
-    through operator.index, so a float or a string raises TypeError; a
-    negative n raises ValueError and one above DEFAULT_WEIGHT_CAP raises
-    CapExceededError.  The parts come from a recursion over (remaining
-    weight, largest part), memoized for this call only."""
+def _checked_weight(n: int) -> int:
     n = index(n)
     if n < 0:
         raise ValueError("weight must be non-negative")
     _check_cap(n)
+    return n
+
+
+def partitions_of(n: int) -> list[Partition]:
+    """All partitions of n, in descending lexicographic order, as a new
+    list.  n goes through operator.index, so a float or a string raises
+    TypeError; a negative n raises ValueError and one above
+    DEFAULT_WEIGHT_CAP raises CapExceededError.  Each weight's partitions
+    are built once per process (`_partitions`) and shared by every call."""
+    return list(_partitions(_checked_weight(n)))
+
+
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple[Partition, ...]:
+    """The partitions of a checked weight n, kept once per process: all
+    weights up to DEFAULT_WEIGHT_CAP together hold 28,629 of them.  The
+    parts come from a recursion over (remaining weight, largest part),
+    whose own memo lives for one call only."""
 
     @lru_cache(maxsize=None)
     def tails(remaining: int, largest: int) -> tuple[tuple[int, ...], ...]:
@@ -79,7 +92,7 @@ def partitions_of(n: int) -> list[Partition]:
             for rest in tails(remaining - v, v)
         )
 
-    partitions = [Partition(parts) for parts in tails(n, n)]
+    partitions = tuple(Partition(parts) for parts in tails(n, n))
     tails.cache_clear()  # tails refers to itself: free the memo now, not at a GC pass
     return partitions
 
@@ -98,8 +111,8 @@ class DegPoset:
     """
 
     def __init__(self, n: int):
-        self.n = n = index(n)  # operator.index, not the method below
-        self.elements = tuple(partitions_of(n))
+        self.n = n = _checked_weight(n)
+        self.elements = _partitions(n)
         self._index = {p.parts: i for i, p in enumerate(self.elements)}
         self.zeta = _zeta_rows(self.elements, self._index)
 

@@ -33,6 +33,8 @@ the operator is 0, and N by the others.  A submodule U is the graph over
 U_N = pi_N(U) of a map f: U_N -> S/K, K = U cap S, that kills T U_N, and
 its types follow from U_N's, dim K and the ranks of f on the U_N cap T^j N.
 So a Hall table walks only N and counts the (K, f) (`_type_tables`).
+N's tally is kept per (N, k', p), k' the dimension walked, so the shapes
+that share N walk it once per process (`_tally`).
 """
 
 from __future__ import annotations
@@ -347,8 +349,10 @@ def _type(ranks: tuple[int, ...]) -> Partition:
     return Partition(tuple(a - b for a, b in zip(ranks, ranks[1:] + (0,)))).conjugate()
 
 
-def _tally(module: JordanModule, k: int) -> dict[tuple, int]:
-    """The invariant dimension-k subspaces U of `module` counted by three
+@lru_cache(maxsize=None)
+def _tally(shape: Partition, k: int, p: int) -> dict[tuple, int]:
+    """The invariant dimension-k subspaces U of M(shape) over F_p, kept
+    once per process and only read by the caller, counted by three
     tuples over j = 0, ..., L, L the longest block: rank T^j(V/U), rank
     T^j U and delta_j(U) = dim U - dim TU - rank(U on depth < j) + rank(TU
     on depth < j), the dimension of the image of U cap T^j V in U/TU.
@@ -377,8 +381,9 @@ def _tally(module: JordanModule, k: int) -> dict[tuple, int]:
     never reads: g > h, as S_h lies in G_(h+1); g = L when i = 1, as K_1 =
     G_L; otherwise g < L, and g <= depth[c] + 1 if room[c] > 0, as T top
     is 1 at c + 1, where TW and larger T^g V vanish."""
-    n, p, depth, room = module.dim, module.p, module.depth, module.room
-    longest = module.shape.parts[0] if n else 0
+    module = JordanModule(shape, p)
+    n, depth, room = module.dim, module.depth, module.room
+    longest = shape.parts[0] if n else 0
     shallow = [[x for x in range(n) if depth[x] < j] for j in range(longest + 1)]
     shifted = [[x for x in range(n) if room[x] >= j] for j in range(longest + 1)]
     tied = [[x for x in range(n) if room[x] and depth[x] < j - 1] for j in range(longest + 1)]
@@ -498,8 +503,9 @@ def _type_tables(
     {x + s : x in U_N, s + K = f(x)}, well defined as U cap S = K; T(x +
     s) = Tx lies in U exactly when f(Tx) = 0.  So U -> (U_N, K, f) is one
     to one onto the triples with f(T U_N) = 0, and only N is walked, in
-    each dimension k - d, d = dim K.  T^j U = T^j U_N for j >= 1, so U's
-    type is U_N's with d parts 1 added.  T^j V cap U is the x in U_N cap
+    each dimension k - d, d = dim K; the tally of that walk is kept per
+    (N, k - d, p) and read by every shape with the same N.  T^j U = T^j
+    U_N for j >= 1, so U's type is U_N's with d parts 1 added.  T^j V cap U is the x in U_N cap
     T^j N with f(x) = 0, so rank T^j(V/U) = rank T^j(N/U_N) + rank(f on
     U_N cap T^j N) for j >= 1, and dim V/U = dim N/U_N + m - d.  f is a map
     from U_N/TU_N, where U_N cap T^j N has an image of dimension delta_j
@@ -509,17 +515,17 @@ def _type_tables(
 
     A table whose walk, or whose total, passes the leaf budget of
     `_invariant_bases` raises CapExceededError naming this shape and k,
-    and no table is kept for it."""
+    and no table is kept for it, nor a tally for a walk that raised."""
     n = shape.weight
     if k == 0:  # the zero submodule alone
         return {(shape, ZERO): 1}
     if n >= k > n - k:
         return {(sub, quo): c for (quo, sub), c in _type_tables(shape, n - k, p).items()}
     m = shape.parts.count(1)
-    rest = JordanModule(Partition(shape.parts[: len(shape.parts) - m]), p)
-    dims = range(max(0, k - rest.dim), min(k, m) + 1)  # d = dim K
+    rest = Partition(shape.parts[: len(shape.parts) - m])
+    dims = range(max(0, k - rest.weight), min(k, m) + 1)  # d = dim K
     try:
-        tallies = [(d, _tally(rest, k - d)) for d in dims]
+        tallies = [(d, _tally(rest, k - d, p)) for d in dims]
     except CapExceededError:
         raise _over_budget(shape, k, p) from None
     table: dict[tuple[Partition, Partition], int] = {}

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from hallzero import degeneration
 from hallzero.degeneration import (
     DEFAULT_WEIGHT_CAP,
     DegPoset,
@@ -96,16 +97,34 @@ class TestEnumeration:
 
     def test_weight_is_a_non_negative_integer(self):
         # The weight goes through operator.index before the sign and cap
-        # checks: 31.0 is not a weight above the cap, nor "3" a weight.
+        # checks: 31.0 is not a weight above the cap, nor "3" a weight.  A
+        # refused weight is refused on every call and keeps no partitions.
+        kept = degeneration._partitions.cache_info().currsize
         for make in (partitions_of, DegPoset):
             for bad in (3.0, 31.0, "3"):
                 with pytest.raises(TypeError):
                     make(bad)
             with pytest.raises(ValueError, match="non-negative"):
                 make(-1)
+            with pytest.raises(CapExceededError):
+                make(DEFAULT_WEIGHT_CAP + 1)
+        assert degeneration._partitions.cache_info().currsize == kept
         poset = DegPoset(True)
         assert type(poset.n) is int and poset.n == 1
         assert partitions_of(True) == partitions_of(1)
+
+    def test_built_once_per_weight(self):
+        # Every call gets a new list of the same kept Partition objects, so
+        # changing one list changes no later call, and the poset shares them.
+        first = partitions_of(6)
+        first.reverse()
+        first.append(Partition((1,)))
+        again = partitions_of(6)
+        assert [str(p) for p in again[:3]] == ["(6)", "(5,1)", "(4,2)"]
+        assert len(again) == 11
+        for same in (partitions_of(6), DegPoset(6).elements):
+            assert len(same) == len(again)
+            assert all(a is b for a, b in zip(same, again))
 
     def test_descending_lexicographic(self):
         for n in range(9):

@@ -151,12 +151,18 @@ def walk_calls(monkeypatch, outer, k, p):
 
 def table_calls(monkeypatch, outer, k, p):
     """The `_rows_with_pivot` calls that building the dimension-k table of
-    `outer` over F_p makes, and the table."""
-    oracle._type_tables.cache_clear()
+    `outer` over F_p makes, and the table, with no table or walk kept."""
+    clear_tables()
     try:
         return spied_calls(monkeypatch, lambda: oracle._type_tables(outer, k, p))
     finally:
-        oracle._type_tables.cache_clear()
+        clear_tables()
+
+
+def clear_tables():
+    """Drop the kept tables and the kept walks they read."""
+    oracle._type_tables.cache_clear()
+    oracle._tally.cache_clear()
 
 
 def assert_dim_tables_match_joint(p, dims):
@@ -374,7 +380,7 @@ class TestHallNumbers:
         # Each table is bounded by the submodules it counts, not only by
         # the weight: (1^4) walks nothing, as it has no block of size >= 2,
         # but a total past the budget raises and leaves no table behind.
-        oracle._type_tables.cache_clear()
+        clear_tables()
         monkeypatch.setattr(oracle, "MAX_LEAVES", 100)
         try:
             with pytest.raises(CapExceededError, match="leaf budget of 100"):
@@ -383,7 +389,7 @@ class TestHallNumbers:
             monkeypatch.undo()
             assert hall_number(P("(1^4)"), P("(1^2)"), P("(1^2)"), 3) == 130
         finally:
-            oracle._type_tables.cache_clear()
+            clear_tables()
 
     def test_walk_lists_only_followed_lower_rows(self, monkeypatch):
         # In (2,1^3) a top row with pivot 0 maps to e_1, so of the 13^3
@@ -423,12 +429,27 @@ class TestHallNumbers:
         assert {module.shape for module, _, _ in calls} == {P("(4,2)")}
         assert sum(table.values()) == 13
 
+    def test_shapes_with_the_same_blocks_above_one_share_their_walks(self, monkeypatch):
+        # (2^2,1) and (2^2,1^2) both split off N = (2^2).  The dimension-2
+        # table of the first walks N at k' = 2 and 1, the second needs N at
+        # k' = 2, 1 and 0, and k' = 0 walks nothing: it reads kept walks only.
+        clear_tables()
+        try:
+            hall_number_table(P("(2^2,1)"), 3, dim=2)
+            outer = P("(2^2,1^2)")
+            calls, table = spied_calls(monkeypatch, lambda: hall_number_table(outer, 3, dim=2))
+            assert calls == []
+            fresh_calls, fresh = table_calls(monkeypatch, outer, 2, 3)
+            assert fresh_calls and table == fresh
+        finally:
+            clear_tables()
+
     def test_leaf_budget_on_the_split(self, monkeypatch):
         # Both raise naming M and the walked dimension: (2,1^3) has 157
         # dimension-2 submodules at p = 3, though its walks of N = (2)
         # yield one basis each; the dimension-2 walk of N = (2^2) inside
         # the dimension-3 table of (2^2,1^2) yields 13 bases itself.
-        oracle._type_tables.cache_clear()
+        clear_tables()
         monkeypatch.setattr(oracle, "MAX_LEAVES", 10)
         try:
             for shape, k in (("(2,1^3)", 2), ("(2^2,1^2)", 3)):
@@ -439,7 +460,7 @@ class TestHallNumbers:
             assert sum(hall_number_table(P("(2,1^3)"), 3, dim=2).values()) == 157
             assert sum(hall_number_table(P("(2^2,1^2)"), 3, dim=3).values()) == 508
         finally:
-            oracle._type_tables.cache_clear()
+            clear_tables()
 
     @pytest.mark.parametrize(
         "shape,k", [("(2,1^3)", 2), ("(2,2,1)", 2), ("(1^4)", 2), ("(2,1^4)", 3)]
