@@ -135,8 +135,6 @@ def _cmd_hallpoly(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_weight < 0:
-        raise ValueError(f"--max-weight must be non-negative, got {args.max_weight}")
     results = run_all(args.max_weight)
     ok = all(r.passed for r in results)
     checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]

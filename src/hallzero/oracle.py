@@ -167,41 +167,6 @@ def _rows_with_pivot(
     return tops[0], tops[1:] + [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in ends]
 
 
-def _followed(
-    module: JordanModule, c: int, lower: dict[int, Row], space: tuple[Row, list[Row]]
-) -> tuple[Row, list[Row]] | None:
-    """The part of the batch `space` of rows b with pivot c, as
-    `_rows_with_pivot(module, c, lower)` gives it, that may hold rows a top
-    row can follow: all of it, one affine piece of it, or None.  It never
-    leaves out a b that some top row follows.
-
-    A top row with pivot t < c has T(top) in span(b, W'), W' spanned by
-    `lower`, with b's coefficient T(top)[c].  At c = 1 with room[0] > 0
-    the only t is 0, and the coefficient is top[0] = 1, so b =
-    reduce(T(top), W'), and those b form e_c + span(reduce(e_{j+1}, W'))
-    over the open entries j of top with room[j] > 0; that piece is met
-    with the batch.  Any other batch is kept whole: the lower rows are
-    placed one torus orbit at a time, so deciding it by solving for top
-    rows would take more `_rows_with_pivot` calls than it saves."""
-    n, p, room = module.dim, module.p, module.room
-    if c != 1 or not room[0]:
-        return space
-    base, gens = space
-    zero, echelon = [0] * n, list(lower.items())
-    dirs = [
-        _reduce([int(x == j + 1) for x in range(n)], echelon, p)
-        for j in range(c + 1, n)
-        if room[j] and j not in lower
-    ]
-    # x = base + sum(a g) = e_c + sum(z h), solved on the rows (g | g) and
-    # (h | 0): base is 1 at c, so (base - e_c | base) reduces to (0 | x).
-    meet = _echelon([[*g, *g] for g in gens] + [[*h, *zero] for h in dirs], p)
-    rest = _reduce([0] * (c + 1) + [*base[c + 1 :], *base], meet, p)
-    if any(rest[:n]):
-        return None
-    return tuple(rest[n:]), [tuple(e[n:]) for q, e in meet if q >= n]
-
-
 def _span(base: Row, gens: list[Row], p: int) -> Iterator[Row]:
     """Every point of base + span(gens) over F_p, gens independent, one at
     a time.  A unit row among gens makes its column take every value, so
@@ -289,13 +254,14 @@ def _invariant_bases(
     the rows below, as `_representatives` picks them, until only the top
     row is left to place, and then hands the affine space of top rows
     over as one batch.  So nothing is done per leaf here.  One row below
-    the top it goes on only from the rows that `_followed` keeps; the
-    others yield no batch.
+    the top, where that row has pivot 1 and the first block has size >= 2,
+    it goes on only from the listed rows that some top row can follow; the
+    others would yield no batch.
 
     The walk counts the bases its batches stand for (`_bases`) and
     raises CapExceededError before the batch that would take it past
     MAX_LEAVES."""
-    p, block = module.p, module.block
+    n, p, block, room = module.dim, module.p, module.block, module.room
     torus = torus and p > 2  # over F_2 T is trivial: each row is its own orbit
     leaves = 0
 
@@ -304,12 +270,19 @@ def _invariant_bases(
         # Row r's pivot leaves room for the r rows still to place above it.
         r = k - 1 - len(below)
         lower = dict(zip(pivots, below))
-        for c in range(r, pivots[0] if pivots else module.dim):
+        for c in range(r, pivots[0] if pivots else n):
             space = _rows_with_pivot(module, c, lower)
-            if space and r == 1:
-                space = _followed(module, c, lower, space)
             if space and r:
                 rows = _span(*space, p)
+                if c == 1 and room[0]:  # so r = 1, and a top row has pivot 0
+                    # T(top) lies in span(b, W'), W' spanned by `lower`, and is
+                    # 1 at column 1, where only b is nonzero: b = reduce(T(top),
+                    # W'), which lies in e_1 + span(reduce(e_(j+1), W')) over
+                    # top's open j >= 2 with room[j] > 0.  No other b has a top.
+                    ends = [j + 1 for j in range(2, n) if room[j] and j not in lower]
+                    units = [[int(x == e) for x in range(n)] for e in ends]
+                    tails = _echelon([_reduce(u, list(lower.items()), p) for u in units], p)
+                    rows = (b for b in rows if not any(_reduce([0, 0, *b[2:]], tails, p)))
                 kept = _representatives(rows, c, comp, block) if torus else zip(rows, repeat(comp))
                 for row, merged in kept:
                     yield from walk((row,) + below, (c,) + pivots, merged)

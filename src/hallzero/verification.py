@@ -110,9 +110,12 @@ def check_interpolation_agreement(max_weight: int) -> CheckResult:
 
 
 def run_all(max_weight: int = 5) -> list[CheckResult]:
-    """Every check up to max_weight.  Two of them count at p = 2, so a
-    max_weight above the oracle's cap there raises CapExceededError
-    before any check runs."""
+    """Every check up to max_weight.  A negative max_weight raises
+    ValueError, and as two of the checks count at p = 2, a max_weight
+    above the oracle's cap there raises CapExceededError, both before any
+    check runs."""
+    if max_weight < 0:
+        raise ValueError(f"max_weight (--max-weight) must be non-negative, got {max_weight}")
     _check_cap(max_weight, 2)
     return [
         check_fmap_multiplicative(max_weight),

@@ -257,6 +257,16 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "--max-weight" in err
 
+    def test_run_all_rejects_a_negative_bound(self, monkeypatch):
+        # The library checks the bound itself, before any check runs,
+        # rather than passing four checks over no weight at all.
+        def unreachable(max_weight):
+            raise AssertionError("a check ran with a negative bound")
+
+        monkeypatch.setattr(verification, "check_fmap_multiplicative", unreachable)
+        with pytest.raises(ValueError, match="non-negative"):
+            verification.run_all(-1)
+
     def test_failure_exits_1_and_names_the_triple(self, capsys, monkeypatch):
         # A constant term wrong at one triple fails the two checks that
         # read it, each naming the triple, and the whole run.

@@ -395,10 +395,11 @@ class TestHallNumbers:
         # In (2,1^3) a top row with pivot 0 maps to e_1, so of the 13^3
         # lower rows with pivot 1 only e_1 admits one.  Listing every lower
         # row and trying every top pivot under it takes 2,582 calls here,
-        # listing the followed ones without the torus 392, and with it 23.
+        # listing the followed ones without the torus 392, and with it 23;
+        # one row per torus orbit with no filter on them takes 30.
         outer = P("(2,1^3)")
         calls, bases = walk_calls(monkeypatch, outer, 2, 13)
-        assert len(calls) <= 30
+        assert len(calls) == 23
         assert bases == sum(submodule_count(outer, nu, 13) for nu in partitions_of(2))
 
     def test_walk_lists_one_lower_row_per_torus_orbit(self, monkeypatch):
@@ -422,12 +423,16 @@ class TestHallNumbers:
         ) == 1891
 
     def test_shape_without_ones_walks_unsplit(self, monkeypatch):
-        # No block of size 1, so nothing is split off: the table walks
-        # M itself, in exactly the 32 calls it took before the split.
-        calls, table = table_calls(monkeypatch, P("(4,2)"), 3, 3)
-        assert len(calls) == 32
-        assert {module.shape for module, _, _ in calls} == {P("(4,2)")}
-        assert sum(table.values()) == 13
+        # No block of size 1, so nothing is split off: the table walks M
+        # itself, (4,2) in exactly the 32 calls it took before the split.
+        # (2^3) pins the filter on the rows under a top pivot 0: without
+        # it the walk takes 75 calls.
+        for shape, k, p, count, total in (("(4,2)", 3, 3, 32, 13), ("(2^3)", 3, 13, 58, 33307)):
+            outer = P(shape)
+            calls, table = table_calls(monkeypatch, outer, k, p)
+            assert len(calls) == count, shape
+            assert {module.shape for module, _, _ in calls} == {outer}
+            assert sum(table.values()) == total
 
     def test_shapes_with_the_same_blocks_above_one_share_their_walks(self, monkeypatch):
         # (2^2,1) and (2^2,1^2) both split off N = (2^2).  The dimension-2
