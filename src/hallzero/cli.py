@@ -18,6 +18,7 @@ error, 3 enumeration cap exceeded or interpolation infeasible.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Sequence
@@ -244,5 +245,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3 if isinstance(exc, CapExceededError) else 2
 
 
+def run() -> int:
+    """The process entry: `hallzero`, `python -m hallzero` and this module
+    run as a script.  It returns main()'s exit code after gc.freeze(), which
+    moves every object into the permanent generation, so the interpreter's
+    final collection at shutdown has nothing left to walk.  Objects outside
+    reference cycles are still freed by reference counting, and atexit
+    handlers and the flush of stdout still run.  main() never freezes."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

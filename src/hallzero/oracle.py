@@ -519,10 +519,10 @@ def hall_number(outer: Partition, quotient: Partition, sub: Partition, p: int) -
     `quotient`, over F_p.  Zero when the weights do not match; an
     unsupported prime raises ValueError whatever the weights, and an
     outer weight above `weight_cap(p)` raises CapExceededError."""
-    weight_cap(p)  # rejects an unsupported prime
     if quotient.weight + sub.weight != outer.weight:
+        weight_cap(p)  # rejects an unsupported prime
         return 0
-    _check_cap(outer.weight, p)
+    _check_cap(outer.weight, p)  # checks the prime first
     return _type_tables(outer, sub.weight, p).get((quotient, sub), 0)
 
 

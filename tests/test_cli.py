@@ -1,5 +1,8 @@
+import gc
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,23 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, _ = run(capsys, *argv, "--json")
     return code, json.loads(out)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_module(*argv):
+    """`python -m hallzero ARGV` in a fresh process, through `cli.run`, with
+    stdout block-buffered as in a shell pipe, so only the exit flushes it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "hallzero", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
 
 
 # Arguments for every subcommand of the command table, and for hallpoly.
@@ -354,3 +374,30 @@ class TestUsageErrors:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+
+class TestProcessEntry:
+    def test_large_output_is_flushed(self, capsys):
+        # The process entry freezes the heap before the interpreter exits;
+        # the whole document still reaches stdout, as main() prints it.
+        proc = run_module("poset", "16", "--json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(json.loads(proc.stdout)["elements"]) == 231
+        assert run(capsys, "poset", "16", "--json") == (0, proc.stdout, "")
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("union", "(3,,1)", "(2,1)"), 2),
+            (("hallnum", "(4,3)", "(6)", "(1)", "--p", "7"), 3),
+        ],
+    )
+    def test_exit_codes(self, argv, code):
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    def test_main_never_freezes(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run(capsys, "conj", "(3,1)") == (0, "(2,1^2)\n", "")
+        assert gc.get_freeze_count() == frozen
