@@ -4,6 +4,10 @@ A partition doubles as the isomorphism class of a finite dimensional
 nilpotent module: the parts are the Jordan block sizes.  Two commutative
 monoid structures live on partitions, componentwise addition and multiset
 union, and conjugation exchanges them.
+
+Text is parsed once per process: :func:`parse_partition` returns the same
+object for equal texts while anything else holds that object, and its memo
+holds each partition only weakly, so it never keeps one alive on its own.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from itertools import chain, groupby, repeat
 from operator import add, index
 from typing import Iterable
+from weakref import WeakValueDictionary
 
 # Bound on the weight, so no input asks for an unbounded list of parts.
 MAX_WEIGHT = 2**20
@@ -53,7 +58,7 @@ class Partition:
     only to partitions.  The weight is summed once, at construction.
     """
 
-    __slots__ = ("parts", "weight")
+    __slots__ = ("parts", "weight", "__weakref__")
 
     def __init__(self, parts: Iterable[int] = ()) -> None:
         parts = tuple(map(index, parts))
@@ -194,12 +199,34 @@ def _parse_terms(text: str, pos: int, close: str) -> Partition:
         pos += 1
 
 
+# Text -> the partition it parsed to, held weakly: an entry, its text
+# included, lives exactly as long as its partition is held somewhere else.
+_parsed: WeakValueDictionary[str, Partition] = WeakValueDictionary()
+
+
 def parse_partition(text: str) -> Partition:
     """Parse comma form ("3,1,1") or exponent form ("(3,1^2)").
 
     "0" and "()" both denote the zero partition.  Whitespace is not part
-    of the grammar and is rejected.
+    of the grammar and is rejected, and an argument that is not a str
+    raises TypeError.
+
+    Each distinct text is scanned once per process: equal texts give the
+    identical object for as long as anything else holds it.  The memo
+    holds partitions only weakly, so it never keeps one alive; an invalid
+    text is never stored and raises at the same position on every call.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"partition text must be a str, not {type(text).__name__}")
+    partition = _parsed.get(text)
+    if partition is None:
+        partition = _parsed[text] = _scan(text)
+    return partition
+
+
+def _scan(text: str) -> Partition:
+    """The partition `text` denotes, or PartitionParseError at the first
+    position that breaks the grammar."""
     if not text:
         raise PartitionParseError("empty input", text, 0)
     if text[0] != "(":

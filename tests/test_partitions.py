@@ -1,5 +1,7 @@
+import gc
 import pickle
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from hallzero.partitions import (
     ZERO,
     Partition,
     PartitionParseError,
+    _parsed,
     parse_partition,
 )
 
@@ -219,10 +222,46 @@ class TestText:
         assert str(Partition([5])) == "(5)"
 
     def test_round_trip_exhaustive(self):
-        for p in partitions_up_to(10):
-            assert parse_partition(str(p)) == p
-            if p:
-                assert parse_partition(",".join(map(str, p.parts))) == p
+        shapes = partitions_up_to(10)
+        pairs = [(str(p), p) for p in shapes]
+        pairs += [(",".join(map(str, p.parts)), p) for p in shapes if p]
+        held = [parse_partition(text) for text, _ in pairs]
+        assert held == [p for _, p in pairs]
+        # While the first results are held, equal texts give those objects.
+        assert all(parse_partition(text) is q for (text, _), q in zip(pairs, held))
+
+    def test_equal_texts_share_one_object_while_held(self):
+        first = parse_partition("(3,1^2)")
+        assert parse_partition("(3,1^2)") is first
+        # Another spelling is another text: equal, but parsed on its own.
+        assert parse_partition("3,1,1") == first
+        assert parse_partition("()") is ZERO
+
+    def test_invalid_text_is_reported_every_time_and_not_kept(self):
+        before = dict(_parsed)
+        for _ in range(3):
+            with pytest.raises(PartitionParseError) as err:
+                parse_partition("(3,,1)")
+            assert err.value.position == 3
+        assert dict(_parsed) == before
+
+    def test_memo_keeps_no_partition_alive(self):
+        text = f"(1^{MAX_WEIGHT})"
+        big = parse_partition(text)
+        assert big.weight == MAX_WEIGHT and _parsed.get(text) is big
+        gone = weakref.ref(big)
+        del big
+        gc.collect()
+        assert gone() is None
+        assert text not in _parsed
+
+    @pytest.mark.parametrize(
+        "value,name",
+        [(None, "NoneType"), (31, "int"), ([3, 1], "list"), (b"(3)", "bytes")],
+    )
+    def test_non_str_raises_type_error(self, value, name):
+        with pytest.raises(TypeError, match=f"must be a str, not {name}$"):
+            parse_partition(value)
 
     @pytest.mark.parametrize(
         "text,position",
