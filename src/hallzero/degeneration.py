@@ -51,18 +51,14 @@ def leq_deg(lam: Partition, nu: Partition) -> bool:
     return _leq_sums(accumulate(lam.parts), accumulate(nu.parts))
 
 
-def _check_cap(n: int) -> None:
-    if n > DEFAULT_WEIGHT_CAP:
-        raise CapExceededError(
-            f"weight {n} exceeds the partition cap {DEFAULT_WEIGHT_CAP}"
-        )
-
-
 def _checked_weight(n: int) -> int:
     n = index(n)
     if n < 0:
         raise ValueError("weight must be non-negative")
-    _check_cap(n)
+    if n > DEFAULT_WEIGHT_CAP:
+        raise CapExceededError(
+            f"weight {n} exceeds the partition cap {DEFAULT_WEIGHT_CAP}"
+        )
     return n
 
 
@@ -229,8 +225,7 @@ def moebius_row(lam: Partition) -> tuple[tuple[Partition, int], ...]:
     DEFAULT_WEIGHT_CAP raises CapExceededError; at or below it lam has at
     most six covers (distinct parts of at least 2), so 2^6 sets.
     """
-    n = lam.weight
-    _check_cap(n)
+    n = _checked_weight(lam.weight)
 
     def sums(parts: tuple[int, ...]) -> tuple[int, ...]:
         # Padded to n entries, so partitions of different lengths compare.

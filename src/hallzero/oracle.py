@@ -237,8 +237,9 @@ def _invariant_bases(
     for each top in base + span(gens), all with the pivot columns pivots.
     comp maps each block to the first block of its component, and the
     elements of T that fix `below` are those constant on each component.
-    With `torus` false the walk keeps every row, as over F_2, where T is
-    trivial: each batch is its own orbit, of weight 1.
+    The walk takes torus representatives at every prime; over F_2 they
+    are every row, and each weight is 1.  With `torus` false, the stream's
+    mode, it keeps every row at every prime, each batch of weight 1.
 
     T commutes with the operator and fixes every pivot, so it maps the
     partial bases the walk admits onto themselves, and the top rows over
@@ -262,7 +263,6 @@ def _invariant_bases(
     raises CapExceededError before the batch that would take it past
     MAX_LEAVES."""
     n, p, block, room = module.dim, module.p, module.block, module.room
-    torus = torus and p > 2  # over F_2 T is trivial: each row is its own orbit
     leaves = 0
 
     def walk(below: tuple[Row, ...], pivots: tuple[int, ...], comp: tuple[int, ...]) -> Iterator:
@@ -304,7 +304,7 @@ def enumerate_invariant_subspaces(module: JordanModule) -> Iterator[tuple[Row, .
     CapExceededError here, before the stream is returned; a dimension
     whose walk passes the leaf budget raises it when the stream gets there.
 
-    The walk runs without the torus, as it does over F_2, so each batch
+    The walk runs without the torus and keeps every row, so each batch
     stands for itself and its top rows are streamed point by point."""
     _check_cap(module.dim, module.p)
     leaves = (
@@ -418,17 +418,14 @@ def _tally(shape: Partition, k: int, p: int) -> dict[tuple, int]:
             ends = range(h + 2, top + 1) if i > 1 else ()
             ins = [x, *(within(h, i, g) for g in ends), 0]
             first = longest if i == 1 else h + 1
+            quo_u = tuple(r + (j > h) for j, r in enumerate(quo))
+            sub_u = tuple(r + (j < i) for j, r in enumerate(sub))
+            deltas_hi = tuple(e + (i == 1) - (j > h) for j, e in enumerate(deltas))
             for g, (y, z) in enumerate(zip(ins, ins[1:]), first):
                 if y > z:
-                    key = (quo, sub, deltas), h, i, g
+                    key = quo_u, sub_u, tuple(e + (j > g) for j, e in enumerate(deltas_hi))
                     counts[key] = counts.get(key, 0) + (y - z) * weight
-    tally: dict[tuple, int] = {}
-    for ((quo, sub, deltas), h, i, g), count in counts.items():
-        deltas = tuple(x + (i == 1) - (j > h) + (j > g) for j, x in enumerate(deltas))
-        quo = tuple(r + (j > h) for j, r in enumerate(quo))
-        key = quo, tuple(r + (j < i) for j, r in enumerate(sub)), deltas
-        tally[key] = tally.get(key, 0) + count
-    return tally
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -478,13 +475,13 @@ def _type_tables(
     to one onto the triples with f(T U_N) = 0, and only N is walked, in
     each dimension k - d, d = dim K; the tally of that walk is kept per
     (N, k - d, p) and read by every shape with the same N.  T^j U = T^j
-    U_N for j >= 1, so U's type is U_N's with d parts 1 added.  T^j V cap U is the x in U_N cap
-    T^j N with f(x) = 0, so rank T^j(V/U) = rank T^j(N/U_N) + rank(f on
-    U_N cap T^j N) for j >= 1, and dim V/U = dim N/U_N + m - d.  f is a map
-    from U_N/TU_N, where U_N cap T^j N has an image of dimension delta_j
-    (`_tally`); `_maps` counts the maps by their ranks on that flag, and K
-    takes [m, d]_p values.  A shape with no part 1 has S = 0 and walks
-    exactly as without the split.
+    U_N for j >= 1, so U's type is U_N's with d parts 1 added.  T^j V cap
+    U is the x in U_N cap T^j N with f(x) = 0, so rank T^j(V/U) = rank
+    T^j(N/U_N) + rank(f on U_N cap T^j N) for j >= 1, and dim V/U = dim
+    N/U_N + m - d.  f is a map from U_N/TU_N, where U_N cap T^j N has an
+    image of dimension delta_j (`_tally`); `_maps` counts the maps by
+    their ranks on that flag, and K takes [m, d]_p values.  A shape with
+    no part 1 has S = 0 and walks exactly as without the split.
 
     A table whose walk, or whose total, passes the leaf budget of
     `_invariant_bases` raises CapExceededError naming this shape and k,

@@ -33,7 +33,8 @@ class PartitionParseError(ValueError):
 
     The message quotes the input whole up to _QUOTE_LIMIT characters;
     a longer input is quoted only around the position, with "..." at
-    each cut.  `.text` keeps the full input and `.position` the offset.
+    each cut.  `.text` keeps the full input, `.position` the offset and
+    `.reason` the message before the position and quote are added.
     """
 
     def __init__(self, message: str, text: str, position: int):
@@ -43,8 +44,14 @@ class PartitionParseError(ValueError):
             cut = repr(text[start:end])
             quoted = "..." * (start > 0) + cut + "..." * (end < len(text))
         super().__init__(f"{message} at position {position} in {quoted}")
+        self.reason = message
         self.text = text
         self.position = position
+
+    def __reduce__(self):
+        # args holds only the formatted message, so pickle and copy rebuild
+        # the error from its parts instead.
+        return type(self), (self.reason, self.text, self.position), self.__dict__
 
 
 class Partition:

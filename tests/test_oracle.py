@@ -480,6 +480,19 @@ class TestHallNumbers:
         )
         assert bases == sum(submodule_count(outer, nu, 13) for nu in partitions_of(k))
 
+    def test_torus_walk_over_f2_is_the_plain_walk(self):
+        # Over F_2 every nonzero entry is 1, so the torus representatives
+        # are every row listed: the torus walk's batches are the plain
+        # walk's, in the same order, and each stands for itself alone.
+        for n in range(7):
+            for shape in partitions_of(n):
+                module = JordanModule(shape, 2)
+                for k in range(n + 1):
+                    batches = list(_invariant_bases(module, k))
+                    plain = list(_invariant_bases(module, k, torus=False))
+                    assert [b[:3] for b in batches] == [b[:3] for b in plain]
+                    assert all(oracle._orbit_size(comp, 2) == 1 for *_, comp in batches)
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_walked_half_matches_leaf_by_leaf(self, p):
         # The tables with 2k <= n walk the blocks of size >= 2 in batches

@@ -1,3 +1,4 @@
+import copy
 import gc
 import pickle
 import time
@@ -105,8 +106,8 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             p.extra = 1
         assert p.parts == (2, 1) and p.weight == 3
-        copy = pickle.loads(pickle.dumps(p))
-        assert copy == p and copy.weight == 3
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and back.weight == 3
 
 
 class TestWeight:
@@ -297,6 +298,25 @@ class TestText:
         assert (err.value.text, err.value.position) == (text, position)
         assert f"position {position}" in str(err.value)
         assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [("(3,,1)", 3), pytest.param("1," * 1250 + "x" + "1" * 2499, 2500, id="5000-chars")],
+    )
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_parse_error_survives_pickle_and_copy(self, text, position, clone):
+        # The long text is quoted only around its position, so the message
+        # alone could not give the text back.
+        with pytest.raises(PartitionParseError) as err:
+            parse_partition(text)
+        got = clone(err.value)
+        assert type(got) is PartitionParseError
+        assert (str(got), got.text, got.position) == (str(err.value), text, position)
+        assert len(str(got)) < 200
 
 
 def partitions(max_part):
