@@ -121,40 +121,24 @@ def joint_table(outer, p):
     return table
 
 
-def spied_calls(monkeypatch, run):
-    """The `_rows_with_pivot` calls made while `run()` runs, and its result."""
-    calls = []
-    solve = oracle._rows_with_pivot
-
-    def spy(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(oracle, "_rows_with_pivot", spy)
-    try:
-        return calls, run()
-    finally:
-        monkeypatch.undo()
-
-
-def walk_calls(monkeypatch, outer, k, p):
+def walk_calls(spied_calls, outer, k, p):
     """The `_rows_with_pivot` calls that the torus walk of the dimension-k
     submodules of M(outer) itself makes, and the bases its batches stand for."""
     module = JordanModule(outer, p)
     return spied_calls(
-        monkeypatch,
         lambda: sum(
             oracle._bases(gens, comp, p) for _, _, (_, gens), comp in _invariant_bases(module, k)
         ),
+        "_rows_with_pivot",
     )
 
 
-def table_calls(monkeypatch, outer, k, p):
+def table_calls(spied_calls, outer, k, p):
     """The `_rows_with_pivot` calls that building the dimension-k table of
     `outer` over F_p makes, and the table, with no table or walk kept."""
     clear_tables()
     try:
-        return spied_calls(monkeypatch, lambda: oracle._type_tables(outer, k, p))
+        return spied_calls(lambda: oracle._type_tables(outer, k, p), "_rows_with_pivot")
     finally:
         clear_tables()
 
@@ -391,50 +375,50 @@ class TestHallNumbers:
         finally:
             clear_tables()
 
-    def test_walk_lists_only_followed_lower_rows(self, monkeypatch):
+    def test_walk_lists_only_followed_lower_rows(self, spied_calls):
         # In (2,1^3) a top row with pivot 0 maps to e_1, so of the 13^3
         # lower rows with pivot 1 only e_1 admits one.  Listing every lower
         # row and trying every top pivot under it takes 2,582 calls here,
         # listing the followed ones without the torus 392, and with it 23;
         # one row per torus orbit with no filter on them takes 30.
         outer = P("(2,1^3)")
-        calls, bases = walk_calls(monkeypatch, outer, 2, 13)
+        calls, bases = walk_calls(spied_calls, outer, 2, 13)
         assert len(calls) == 23
         assert bases == sum(submodule_count(outer, nu, 13) for nu in partitions_of(2))
 
-    def test_walk_lists_one_lower_row_per_torus_orbit(self, monkeypatch):
+    def test_walk_lists_one_lower_row_per_torus_orbit(self, spied_calls):
         # (2,1^4) has five blocks, so a lower row with entries in several
         # of them stands for up to 12^4 rows at p = 13; listing every row
         # that some top row can follow takes 67,762 calls here, and one row
         # per torus orbit 145.
         outer = P("(2,1^4)")
-        calls, bases = walk_calls(monkeypatch, outer, 3, 13)
+        calls, bases = walk_calls(spied_calls, outer, 3, 13)
         assert len(calls) <= 200
         assert bases == sum(submodule_count(outer, nu, 13) for nu in partitions_of(3))
 
-    def test_tables_walk_only_the_blocks_above_one(self, monkeypatch):
+    def test_tables_walk_only_the_blocks_above_one(self, spied_calls):
         # M = N + S, S the blocks of size 1: the table of (2,1^5) walks
         # only N = (2) and counts the rest of its 1,891 submodules.
         outer = P("(2,1^5)")
-        calls, table = table_calls(monkeypatch, outer, 3, 2)
+        calls, table = table_calls(spied_calls, outer, 3, 2)
         assert {module.shape for module, _, _ in calls} == {P("(2)")}
         assert sum(table.values()) == sum(
             submodule_count(outer, nu, 2) for nu in partitions_of(3)
         ) == 1891
 
-    def test_shape_without_ones_walks_unsplit(self, monkeypatch):
+    def test_shape_without_ones_walks_unsplit(self, spied_calls):
         # No block of size 1, so nothing is split off: the table walks M
         # itself, (4,2) in exactly the 32 calls it took before the split.
         # (2^3) pins the filter on the rows under a top pivot 0: without
         # it the walk takes 75 calls.
         for shape, k, p, count, total in (("(4,2)", 3, 3, 32, 13), ("(2^3)", 3, 13, 58, 33307)):
             outer = P(shape)
-            calls, table = table_calls(monkeypatch, outer, k, p)
+            calls, table = table_calls(spied_calls, outer, k, p)
             assert len(calls) == count, shape
             assert {module.shape for module, _, _ in calls} == {outer}
             assert sum(table.values()) == total
 
-    def test_shapes_with_the_same_blocks_above_one_share_their_walks(self, monkeypatch):
+    def test_shapes_with_the_same_blocks_above_one_share_their_walks(self, spied_calls):
         # (2^2,1) and (2^2,1^2) both split off N = (2^2).  The dimension-2
         # table of the first walks N at k' = 2 and 1, the second needs N at
         # k' = 2, 1 and 0, and k' = 0 walks nothing: it reads kept walks only.
@@ -442,9 +426,11 @@ class TestHallNumbers:
         try:
             hall_number_table(P("(2^2,1)"), 3, dim=2)
             outer = P("(2^2,1^2)")
-            calls, table = spied_calls(monkeypatch, lambda: hall_number_table(outer, 3, dim=2))
+            calls, table = spied_calls(
+                lambda: hall_number_table(outer, 3, dim=2), "_rows_with_pivot"
+            )
             assert calls == []
-            fresh_calls, fresh = table_calls(monkeypatch, outer, 2, 3)
+            fresh_calls, fresh = table_calls(spied_calls, outer, 2, 3)
             assert fresh_calls and table == fresh
         finally:
             clear_tables()
